@@ -281,9 +281,10 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                              weight * ELASTIC_PENALTY_FACTOR * config.dg_unit_cost)
         return v
 
-    boundary = {"soc": state.soc_kwh,
+    # floats, because _add_hour_block reads an int as a variable index
+    boundary = {"soc": float(state.soc_kwh),
                 "udg": 1.0 if state.dg_on else 0.0,
-                "dg": state.dg_prev_kw}
+                "dg": float(state.dg_prev_kw)}
 
     if mode in (PERFECT, FORECAST):
         if context.load_kw is None:

@@ -97,14 +97,6 @@ class EmaForecaster:
         return np.array([max(0.0, self.averages[h] * sf) for h in hours])
 
 
-def forecast_horizon(forecaster: EmaForecaster, start_hour: int, length: int) -> np.ndarray:
-    return forecaster.forecast(start_hour, length)
-
-
-def observe(forecaster: EmaForecaster, hour: int, actual: float) -> EmaForecaster:
-    return forecaster.observe(hour, actual)
-
-
 @dataclass(frozen=True)
 class LoadPvForecaster:
     """Independent load and PV forecasters advanced in lockstep."""

@@ -1,27 +1,25 @@
-"""Bounded-variable linear programming and branch-and-bound for binary MILPs.
+"""Linear programs and binary MILPs, solved by HiGHS.
 
 The model container is a plain list of finitely-bounded variables, a minimize
-objective, and sparse constraint rows. Two interchangeable LP engines sit
-behind `solve_lp`:
+objective, and sparse constraint rows. `solve_lp` solves the relaxation
+(binaries treated as continuous in [0, 1]) with HiGHS's dual simplex through
+scipy's `linprog`; `solve_milp` runs HiGHS's branch-and-cut through scipy's
+`milp` with a zero relative gap, so an optimal result is proven optimal, not
+merely near it. HiGHS is deterministic for a given model, so identical models
+give identical results bit for bit.
 
-* a dense bounded-variable primal simplex (two phases, Dantzig pricing with
-  lowest-index tie-breaks, Bland's rule after a degeneracy stall), used for
-  small models and as the auditable reference, and
-* scipy's HiGHS, used automatically once the dense tableau would be large;
-  dispatch-scale models are ~100x faster there.
-
-Engine choice is a pure function of model size, so identical models always
-take the identical path and results stay reproducible bit for bit.
-`solve_milp` is a best-first branch-and-bound on the relaxation, branching on
-the most fractional binary, independent of the LP engine underneath. Every
-optimal result is re-verified against the original rows before it is
+Every optimal result is re-verified against the original rows before it is
 returned; the solver's own bookkeeping is never trusted for feasibility.
+HiGHS writes some progress lines from native code straight to file
+descriptor 1, whatever its options say, so each call runs with that
+descriptor pointed at the null device.
 """
 
 from __future__ import annotations
 
-import heapq
+import ctypes
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,20 +29,21 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as scipy_milp
 
-FEAS_TOL = 1e-7          # simplex feasibility / optimality tolerance
 RESIDUAL_TOL = 1e-6      # independent post-solve constraint check
-INTEGRALITY_TOL = 1e-6
+# HiGHS tolerances, two decades inside the residual check
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
+                     "dual_feasibility_tolerance": 1e-9}
 DEFAULT_NODE_LIMIT = 100_000
-BLAND_STALL_THRESHOLD = 120   # degenerate pivots before switching to Bland
-# rows * (structurals + rows) above which the dense simplex yields to HiGHS
-SIMPLEX_CELL_LIMIT = 50_000
-# binary count above which the built-in branch-and-bound yields to HiGHS MIP;
-# dispatch-scale commitment models have hundreds of binaries and real
-# integrality gaps, far past what a cut-free tree search proves in time
+# selects no engine: every model goes to HiGHS. The benchmark's trace still
+# labels real-time solves with at most this many binaries as `rt_bnb`.
 BNB_BINARY_LIMIT = 40
 
 LE, GE, EQ = "<=", ">=", "="
 _RELS = (LE, GE, EQ)
+
+_libc = ctypes.CDLL(None)
+_libc.fflush.argtypes = [ctypes.c_void_p]
+_libc.fflush.restype = ctypes.c_int
 
 
 class SolveStatus(Enum):
@@ -142,11 +141,11 @@ class MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# standard form shared by both engines
+# standard form
 
 
 class _Standard:
-    """Precomputed arrays for one model; bound vectors vary per solve."""
+    """The model as arrays: objective, bounds and one sparse row matrix."""
 
     def __init__(self, model: LinearProgram):
         n = model.num_vars
@@ -180,537 +179,142 @@ class _Standard:
         self.rels = np.array(rels) if m else np.empty(0, dtype="<U2")
         self.rhs = np.array(rhs, dtype=float)
 
-        self.use_highs = m * (n + m) > SIMPLEX_CELL_LIMIT
-        self._dense = None
-        self._highs = None
-        self._csc = None
-        self._row_scale = None
+    def inequality_form(self):
+        """(A_ub, b_ub, A_eq, b_eq) for `linprog`, with >= rows negated."""
+        le = self.rels == LE
+        ge = self.rels == GE
+        eq = self.rels == EQ
+        A_ub = b_ub = A_eq = b_eq = None
+        if le.any() or ge.any():
+            parts, rhs_parts = [], []
+            if le.any():
+                parts.append(self.rows[le])
+                rhs_parts.append(self.rhs[le])
+            if ge.any():
+                parts.append(-self.rows[ge])
+                rhs_parts.append(-self.rhs[ge])
+            A_ub = sparse.vstack(parts, format="csr")
+            b_ub = np.concatenate(rhs_parts)
+        if eq.any():
+            A_eq = self.rows[eq]
+            b_eq = self.rhs[eq]
+        return A_ub, b_ub, A_eq, b_eq
 
-    def csc(self):
-        if self._csc is None and self.rows is not None:
-            self._csc = self.rows.tocsc()
-        return self._csc
+    def range_form(self):
+        """One `LinearConstraint` for `milp`: every row as lower <= Ax <= upper."""
+        if not self.m:
+            return []
+        row_lb = np.where(self.rels == LE, -np.inf, self.rhs)
+        row_ub = np.where(self.rels == GE, np.inf, self.rhs)
+        return LinearConstraint(self.rows, row_lb, row_ub)
 
-    # -- dense layout for the built-in simplex --------------------------------
-    def dense(self):
-        if self._dense is None:
-            m, n = self.m, self.n
-            A = np.zeros((m, n + 2 * m))
-            if m:
-                A[:, :n] = self.rows.toarray()
-                A[:, n:n + m] = np.eye(m)
-                # naive row equilibration
-                scale = np.maximum(np.abs(A[:, :n]).max(axis=1, initial=0.0), 1e-12)
-                A /= scale[:, None]
-                rhs = self.rhs / scale
-            else:
-                rhs = self.rhs.copy()
-            slack_lb = np.zeros(m)
-            slack_ub = np.zeros(m)
-            for i, rel in enumerate(self.rels):
-                if rel == LE:
-                    slack_ub[i] = np.inf
-                elif rel == GE:
-                    slack_lb[i] = -np.inf
-            self._dense = (A, rhs, slack_lb, slack_ub)
-        return self._dense
-
-    # -- scipy layout ----------------------------------------------------------
-    def highs(self):
-        if self._highs is None:
-            le = self.rels == LE
-            ge = self.rels == GE
-            eq = self.rels == EQ
-            A_ub = b_ub = A_eq = b_eq = None
-            if le.any() or ge.any():
-                parts, rhs_parts = [], []
-                if le.any():
-                    parts.append(self.rows[le])
-                    rhs_parts.append(self.rhs[le])
-                if ge.any():
-                    parts.append(-self.rows[ge])
-                    rhs_parts.append(-self.rhs[ge])
-                A_ub = sparse.vstack(parts, format="csr")
-                b_ub = np.concatenate(rhs_parts)
-            if eq.any():
-                A_eq = self.rows[eq]
-                b_eq = self.rhs[eq]
-            self._highs = (A_ub, b_ub, A_eq, b_eq)
-        return self._highs
-
-    def residual_violation(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
-        """Worst constraint/bound violation, scaled by each row's magnitude."""
-        worst = max(float(np.max(lb - x, initial=0.0)), float(np.max(x - ub, initial=0.0)))
+    def verified(self, x: np.ndarray, what: str) -> np.ndarray:
+        """`x`, after checking every bound and row, each row scaled by its
+        largest coefficient; raises when the worst violation passes
+        RESIDUAL_TOL."""
+        worst = max(float(np.max(self.lb - x, initial=0.0)),
+                    float(np.max(x - self.ub, initial=0.0)))
         if self.m:
-            if self._row_scale is None:
-                scale = np.zeros(self.m)
-                absrows = abs(self.rows)
-                scale = np.maximum(absrows.max(axis=1).toarray().ravel(), 1.0)
-                self._row_scale = scale
-            ax = self.rows @ x
-            resid = (ax - self.rhs) / self._row_scale
+            scale = np.maximum(abs(self.rows).max(axis=1).toarray().ravel(), 1.0)
+            resid = (self.rows @ x - self.rhs) / scale
             for sel, sign in ((self.rels == LE, 1.0), (self.rels == GE, -1.0)):
                 if sel.any():
                     worst = max(worst, float(np.max(sign * resid[sel], initial=0.0)))
             eq = self.rels == EQ
             if eq.any():
                 worst = max(worst, float(np.max(np.abs(resid[eq]), initial=0.0)))
-        return worst
+        if worst > RESIDUAL_TOL:
+            raise SolverError(f"{what} returned an infeasible point (residual {worst:.3e})")
+        return x
 
 
 # ---------------------------------------------------------------------------
-# engine: scipy HiGHS
+# solves
 
 
-def _solve_highs(std: _Standard, lb: np.ndarray, ub: np.ndarray,
-                 max_iterations: int | None):
-    A_ub, b_ub, A_eq, b_eq = std.highs()
-    # engine tolerances two decades inside our own 1e-6 verification gate
-    options = {"presolve": True,
-               "primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9}
+def _highs(solver, **kwargs):
+    """Call a scipy HiGHS entry point with file descriptor 1 on the null device.
+
+    HiGHS prints some MIP progress lines from native code, past every
+    option. C stdio buffers are flushed on both sides of the swap, so
+    nothing printed before the call is lost and nothing HiGHS buffered
+    leaks out after the descriptor is restored. The descriptor is shared by
+    the whole process, so solves must not run on two threads at once.
+    """
+    _libc.fflush(None)
+    saved = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), 1)
+            try:
+                return solver(**kwargs)
+            finally:
+                _libc.fflush(None)
+                os.dup2(saved, 1)
+    finally:
+        os.close(saved)
+
+
+def _status(res) -> SolveStatus:
+    return {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
+            3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ITERATION_LIMIT)
+
+
+def solve_lp(model: LinearProgram, *, max_iterations: int | None = None) -> MilpSolution:
+    """Solve the LP relaxation (binaries treated as continuous in [0, 1])."""
+    std = _Standard(model)
+    A_ub, b_ub, A_eq, b_eq = std.inequality_form()
+    options = {"presolve": True, **_HIGHS_TOLERANCES}
     if max_iterations is not None:
         options["maxiter"] = max_iterations
-    res = linprog(std.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=np.column_stack([lb, ub]), method="highs-ds",
-                  options=options)
+    res = _highs(linprog, c=std.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                 bounds=np.column_stack([std.lb, std.ub]), method="highs-ds",
+                 options=options)
     iters = int(np.sum(res.nit)) if res.nit is not None else 0
-    if res.status == 0:
-        return SolveStatus.OPTIMAL, np.asarray(res.x, dtype=float), iters
-    if res.status == 2:
-        return SolveStatus.INFEASIBLE, None, iters
-    if res.status == 3:
-        return SolveStatus.UNBOUNDED, None, iters
-    return SolveStatus.ITERATION_LIMIT, None, iters
-
-
-# ---------------------------------------------------------------------------
-# engine: dense bounded-variable primal simplex
-
-_BASIC, _AT_LB, _AT_UB = 0, 1, 2
-
-
-def _solve_simplex(std: _Standard, lb_struct: np.ndarray, ub_struct: np.ndarray,
-                   max_iterations: int | None):
-    A0, rhs, slack_lb, slack_ub = std.dense()
-    m = std.m
-    n = std.n
-    N = n + 2 * m
-    if max_iterations is None:
-        max_iterations = 200 * (m + n) + 5000
-
-    A = A0  # artificial columns live in A0[:, n+m:]; signs set below
-    lb = np.concatenate([lb_struct, slack_lb, np.zeros(m)])
-    ub = np.concatenate([ub_struct, slack_ub, np.zeros(m)])
-
-    # nonbasic start: bound of smallest magnitude (slacks start at 0)
-    xval = np.where(np.abs(lb) <= np.abs(ub), lb, ub)
-    xval[~np.isfinite(xval)] = 0.0
-    vstat = np.where(xval == lb, _AT_LB, _AT_UB).astype(np.int8)
-
-    basis = np.empty(m, dtype=int)
-    Binv = np.eye(m)
-    art_cols: list[int] = []
-    if m:
-        resid = rhs - A[:, :n] @ xval[:n]
-        for i in range(m):
-            s = n + i
-            if slack_lb[i] - FEAS_TOL <= resid[i] <= slack_ub[i] + FEAS_TOL:
-                basis[i] = s
-                xval[s] = min(max(resid[i], slack_lb[i]), slack_ub[i])
-                vstat[s] = _BASIC
-            else:
-                a = n + m + i
-                sign = 1.0 if resid[i] >= 0 else -1.0
-                A[i, a] = sign
-                Binv[i, i] = sign
-                basis[i] = a
-                xval[a] = abs(resid[i])
-                vstat[a] = _BASIC
-                ub[a] = np.inf
-                art_cols.append(a)
-
-    movable = (ub - lb) > FEAS_TOL
-    iters = 0
-
-    def run_phase(costs: np.ndarray) -> str:
-        nonlocal iters
-        bland = False
-        stall = 0
-        while True:
-            if iters >= max_iterations:
-                return "limit"
-            iters += 1
-            if m:
-                y = costs[basis] @ Binv
-                d = costs - y @ A
-            else:
-                d = costs.copy()
-            gain = np.where(vstat == _AT_LB, -d, np.where(vstat == _AT_UB, d, -np.inf))
-            gain[~movable] = -np.inf
-            if bland:
-                elig = np.flatnonzero(gain > FEAS_TOL)
-                if elig.size == 0:
-                    return "optimal"
-                j = int(elig[0])
-            else:
-                j = int(np.argmax(gain))
-                if gain[j] <= FEAS_TOL:
-                    return "optimal"
-            sigma = 1.0 if vstat[j] == _AT_LB else -1.0
-            w = Binv @ A[:, j] if m else np.empty(0)
-            sw = sigma * w
-            t_basic = np.full(m, np.inf)
-            if m:
-                xB = xval[basis]
-                pos = sw > 1e-9
-                neg = sw < -1e-9
-                t_basic[pos] = (xB[pos] - lb[basis][pos]) / sw[pos]
-                t_basic[neg] = (xB[neg] - ub[basis][neg]) / sw[neg]
-                np.maximum(t_basic, 0.0, out=t_basic)
-            t_own = ub[j] - lb[j]
-            t_min = float(t_basic.min()) if m else np.inf
-            if t_own <= t_min:
-                if not np.isfinite(t_own):
-                    return "unbounded"
-                xval[basis] -= sigma * t_own * w
-                xval[j] = ub[j] if sigma > 0 else lb[j]
-                vstat[j] = _AT_UB if sigma > 0 else _AT_LB
-                stall = 0
-                continue
-            if not np.isfinite(t_min):
-                return "unbounded"
-            cand = np.flatnonzero(t_basic <= t_min + 1e-9)
-            if bland:
-                r = int(cand[np.argmin(basis[cand])])
-            else:
-                r = int(cand[np.argmax(np.abs(sw[cand]))])
-            t = max(t_basic[r], 0.0)
-            if t <= 1e-12:
-                stall += 1
-                if stall >= BLAND_STALL_THRESHOLD:
-                    bland = True
-            else:
-                stall = 0
-            xval[basis] -= sigma * t * w
-            leaving = basis[r]
-            xval[leaving] = lb[leaving] if sw[r] > 0 else ub[leaving]
-            vstat[leaving] = _AT_LB if sw[r] > 0 else _AT_UB
-            xval[j] += sigma * t
-            basis[r] = j
-            vstat[j] = _BASIC
-            piv = w[r]
-            Binv[r, :] /= piv
-            factor = w.copy()
-            factor[r] = 0.0
-            Binv[:, :] -= np.outer(factor, Binv[r, :])
-
-    cleanup_needed = bool(art_cols)
-    if cleanup_needed:
-        phase1 = np.zeros(N)
-        phase1[art_cols] = 1.0
-        outcome = run_phase(phase1)
-        if outcome == "limit":
-            _reset_artificials(A, n, m)
-            return SolveStatus.ITERATION_LIMIT, None, iters
-        if float(phase1 @ xval) > 1e-6:
-            _reset_artificials(A, n, m)
-            return SolveStatus.INFEASIBLE, None, iters
-        ub[art_cols] = 0.0
-        xval[art_cols] = np.minimum(xval[art_cols], 0.0)
-        movable[art_cols] = False
-
-    phase2 = np.zeros(N)
-    phase2[:n] = std.c
-    outcome = run_phase(phase2)
-    if cleanup_needed:
-        _reset_artificials(A, n, m)
-    if outcome == "limit":
-        return SolveStatus.ITERATION_LIMIT, None, iters
-    if outcome == "unbounded":
-        return SolveStatus.UNBOUNDED, None, iters
-    x = xval[:n].copy()
-    np.clip(x, lb_struct, ub_struct, out=x)
-    return SolveStatus.OPTIMAL, x, iters
-
-
-def _reset_artificials(A: np.ndarray, n: int, m: int) -> None:
-    A[:, n + m:] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# public solves
-
-
-def _relaxed_bounds(std: _Standard, fixed: dict[int, int] | None = None):
-    lb = std.lb.copy()
-    ub = std.ub.copy()
-    if fixed:
-        for idx, val in fixed.items():
-            lb[idx] = ub[idx] = float(val)
-    return lb, ub
-
-
-def _solve_bounds(std: _Standard, lb, ub, engine: str, max_iterations):
-    if engine == "highs" or (engine == "auto" and std.use_highs):
-        status, x, iters = _solve_highs(std, lb, ub, max_iterations)
-    else:
-        status, x, iters = _solve_simplex(std, lb, ub, max_iterations)
+    status = _status(res)
+    x = obj = None
     if status is SolveStatus.OPTIMAL:
-        worst = std.residual_violation(x, lb, ub)
-        if worst > RESIDUAL_TOL:
-            raise SolverError(f"engine returned an infeasible 'optimal' point "
-                              f"(residual {worst:.3e})")
-    return status, x, iters
-
-
-def solve_lp(model: LinearProgram, *, engine: str = "auto",
-             max_iterations: int | None = None) -> MilpSolution:
-    """Solve the LP relaxation (binaries treated as continuous in [0, 1])."""
-    std = model if isinstance(model, _Standard) else _Standard(model)
-    lb, ub = _relaxed_bounds(std)
-    status, x, iters = _solve_bounds(std, lb, ub, engine, max_iterations)
-    obj = float(std.c @ x + std.offset) if status is SolveStatus.OPTIMAL else None
+        x = std.verified(np.asarray(res.x, dtype=float), "LP solve")
+        obj = float(std.c @ x + std.offset)
     return MilpSolution(status=status, objective=obj, values=x,
                         names=std.names, node_count=0, iterations=iters)
 
 
-def _fractionality(x: np.ndarray, binaries: np.ndarray) -> tuple[float, int]:
-    """Max distance to integrality over the binaries, and its arg (model index)."""
-    if binaries.size == 0:
-        return 0.0, -1
-    vals = x[binaries]
-    frac = np.abs(vals - np.round(vals))
-    k = int(np.argmax(frac))
-    return float(frac[k]), int(binaries[k])
+def solve_milp(model: LinearProgram, *,
+               node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
+    """Solve the MILP with HiGHS's branch-and-cut to a proven optimum.
 
-
-def _repair_binaries(std: _Standard, x: np.ndarray, lb: np.ndarray,
-                     ub: np.ndarray) -> np.ndarray:
-    """Flip fractional binaries to whichever integer keeps their rows feasible.
-
-    Dispatch models carry many binaries (mode flags, start/stop commands)
-    whose integer value is free or one-sidedly constrained at the relaxation
-    optimum; flipping them costs nothing and needs no branching. Flips are
-    accepted only if every constraint row touching the variable stays
-    satisfied, so the result is feasible whenever it is fully integral.
+    The relative gap is zero and the feasibility tolerances are 1e-9, two
+    decades inside the residual check. An optimal point has its binaries
+    rounded and its values clipped to their bounds, then every row is
+    checked again. A search that hits `node_limit` nodes reports
+    ITERATION_LIMIT. `iterations` is always 0: scipy does not report
+    HiGHS's simplex iterations for a MILP.
     """
-    xr = x.copy()
-    if std.binaries.size == 0:
-        return xr
-    near = np.abs(xr[std.binaries] - np.round(xr[std.binaries])) <= INTEGRALITY_TOL
-    snap = std.binaries[near]
-    xr[snap] = np.round(xr[snap])
-    if std.m == 0:
-        xr[std.binaries] = np.round(xr[std.binaries])
-        return xr
-
-    csc = std.csc()
-    csr = std.rows
-    rels, rhs = std.rels, std.rhs
-
-    def rows_ok(row_ids) -> bool:
-        for r in row_ids:
-            lo, hi = csr.indptr[r], csr.indptr[r + 1]
-            val = float(csr.data[lo:hi] @ xr[csr.indices[lo:hi]])
-            rel = rels[r]
-            if rel == LE:
-                if val > rhs[r] + RESIDUAL_TOL:
-                    return False
-            elif rel == GE:
-                if val < rhs[r] - RESIDUAL_TOL:
-                    return False
-            elif abs(val - rhs[r]) > RESIDUAL_TOL:
-                return False
-        return True
-
-    for _ in range(3):
-        changed = False
-        for j in std.binaries:
-            v = xr[j]
-            if abs(v - round(v)) <= INTEGRALITY_TOL:
-                continue
-            touched = csc.indices[csc.indptr[j]:csc.indptr[j + 1]]
-            order = (1.0, 0.0) if std.c[j] <= 0 else (0.0, 1.0)
-            for target in order:
-                if not (lb[j] - 1e-12 <= target <= ub[j] + 1e-12):
-                    continue
-                xr[j] = target
-                if rows_ok(touched):
-                    changed = True
-                    break
-                xr[j] = v
-        if not changed:
-            break
-    return xr
-
-
-def _solve_milp_highs(std: _Standard, node_limit: int) -> MilpSolution:
-    """HiGHS branch-and-cut for dispatch-scale models, exact gap settings."""
-    constraints = []
-    if std.m:
-        row_lb = np.where(std.rels == GE, std.rhs,
-                          np.where(std.rels == EQ, std.rhs, -np.inf))
-        row_ub = np.where(std.rels == LE, std.rhs,
-                          np.where(std.rels == EQ, std.rhs, np.inf))
-        constraints = LinearConstraint(std.rows, row_lb, row_ub)
+    std = _Standard(model)
     integrality = np.zeros(std.n)
     integrality[std.binaries] = 1
     options = {"mip_rel_gap": 0.0, "node_limit": node_limit, "presolve": True,
-               "primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9,
-               "mip_feasibility_tolerance": 1e-9}
+               **_HIGHS_TOLERANCES, "mip_feasibility_tolerance": 1e-9}
     with warnings.catch_warnings():
         # scipy forwards the HiGHS tolerance options verbatim but warns; that
         # pass-through is exactly what we want
         warnings.filterwarnings("ignore", message="Unrecognized options",
                                 category=RuntimeWarning)
-        res = scipy_milp(c=std.c, constraints=constraints, integrality=integrality,
-                         bounds=Bounds(std.lb, std.ub), options=options)
+        res = _highs(scipy_milp, c=std.c, constraints=std.range_form(),
+                     integrality=integrality, bounds=Bounds(std.lb, std.ub),
+                     options=options)
     nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    if res.status == 0:
+    status = _status(res)
+    x = obj = None
+    if status is SolveStatus.OPTIMAL:
         x = np.asarray(res.x, dtype=float)
         x[std.binaries] = np.round(x[std.binaries])
         np.clip(x, std.lb, std.ub, out=x)
-        worst = std.residual_violation(x, std.lb, std.ub)
-        if worst > RESIDUAL_TOL:
-            raise SolverError(f"MIP engine returned an infeasible point "
-                              f"(residual {worst:.3e})")
-        return MilpSolution(status=SolveStatus.OPTIMAL,
-                            objective=float(std.c @ x + std.offset), values=x,
-                            names=std.names, node_count=nodes, iterations=0)
-    status = {2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}.get(
-        res.status, SolveStatus.ITERATION_LIMIT)
-    return MilpSolution(status=status, objective=None, values=None,
+        x = std.verified(x, "MIP solve")
+        obj = float(std.c @ x + std.offset)
+    return MilpSolution(status=status, objective=obj, values=x,
                         names=std.names, node_count=nodes, iterations=0)
-
-
-def solve_milp(model: LinearProgram, *, engine: str = "auto",
-               node_limit: int = DEFAULT_NODE_LIMIT,
-               max_iterations: int | None = None,
-               absolute_gap: float = 1e-9) -> MilpSolution:
-    """Best-first branch-and-bound over the LP relaxation.
-
-    Branches on the most fractional binary (lowest index on ties). A
-    zero-cost repair pass resolves the many slack mode/flag binaries of
-    dispatch models without branching, and a round-and-fix heuristic at the
-    root usually supplies an incumbent immediately, after which the
-    best-first queue proves optimality. Models past `BNB_BINARY_LIMIT`
-    binaries route to HiGHS's branch-and-cut (same contract, proven-exact
-    gap). Results are deterministic for a given model.
-    """
-    std = _Standard(model)
-    if engine != "simplex" and std.binaries.size > BNB_BINARY_LIMIT:
-        return _solve_milp_highs(std, node_limit)
-    total_iters = 0
-    nodes = 0
-    incumbent_x = None
-    incumbent_obj = np.inf
-
-    def node_solve(fixed):
-        nonlocal total_iters, nodes
-        lb, ub = _relaxed_bounds(std, fixed)
-        status, x, iters = _solve_bounds(std, lb, ub, engine, max_iterations)
-        total_iters += iters
-        nodes += 1
-        obj = float(std.c @ x + std.offset) if status is SolveStatus.OPTIMAL else None
-        return status, x, obj, lb, ub
-
-    def record(xi, lb, ub):
-        nonlocal incumbent_x, incumbent_obj
-        xi = xi.copy()
-        xi[std.binaries] = np.round(xi[std.binaries])
-        if std.residual_violation(xi, lb, ub) <= RESIDUAL_TOL:
-            obj_i = float(std.c @ xi + std.offset)
-            if obj_i < incumbent_obj:
-                incumbent_x, incumbent_obj = xi, obj_i
-            return obj_i
-        return None
-
-    def examine(x, obj, lb, ub, fixed):
-        """Harvest incumbents from the node point; -1 means the node is closed.
-
-        A zero-cost repair that lands integral attains the node's own LP
-        bound, so the node is solved exactly and needs no children; a costed
-        repair still yields an incumbent but leaves the node open. Branching
-        always happens on a binary that is fractional in the unrepaired node
-        solution, so children genuinely shrink the feasible box.
-        """
-        closed = False
-        xr = _repair_binaries(std, x, lb, ub)
-        frac_r, _ = _fractionality(xr, std.binaries)
-        if frac_r <= INTEGRALITY_TOL:
-            obj_r = record(xr, lb, ub)
-            if obj_r is not None and obj_r <= obj + absolute_gap:
-                closed = True
-        branch_var = -1
-        worst = INTEGRALITY_TOL
-        for j in std.binaries:
-            if fixed and int(j) in fixed:
-                continue
-            f = abs(x[j] - round(x[j]))
-            if f > worst:
-                branch_var, worst = int(j), f
-        if branch_var < 0 and not closed:
-            # free binaries integral at the node optimum: attained exactly
-            record(x, lb, ub)
-            closed = True
-        return -1 if closed else branch_var
-
-    status, x, obj, lb, ub = node_solve(None)
-    if status is not SolveStatus.OPTIMAL:
-        return MilpSolution(status=status, objective=None, values=None,
-                            names=std.names, node_count=nodes, iterations=total_iters)
-
-    heap: list[tuple[float, int, dict[int, int]]] = []
-    seq = 0
-    branch_var = examine(x, obj, lb, ub, None)
-    if branch_var >= 0:
-        # round-and-fix fallback incumbent before the search starts
-        xr = _repair_binaries(std, x, lb, ub)
-        fixed_all = {int(i): int(round(xr[i])) for i in std.binaries}
-        h_status, h_x, h_obj, h_lb, h_ub = node_solve(fixed_all)
-        if h_status is SolveStatus.OPTIMAL:
-            record(h_x, h_lb, h_ub)
-        for val in (0, 1):
-            heapq.heappush(heap, (obj, seq, {branch_var: val}))
-            seq += 1
-
-    limit_hit = False
-    while heap:
-        bound, _, fixed = heapq.heappop(heap)
-        if bound >= incumbent_obj - absolute_gap:
-            continue
-        if nodes >= node_limit:
-            limit_hit = True
-            break
-        status, x, obj, lb, ub = node_solve(fixed)
-        if status is SolveStatus.ITERATION_LIMIT:
-            limit_hit = True
-            break
-        if status is not SolveStatus.OPTIMAL:
-            continue
-        if obj >= incumbent_obj - absolute_gap:
-            continue
-        branch_var = examine(x, obj, lb, ub, fixed)
-        if branch_var < 0:
-            continue
-        for val in (0, 1):
-            child = dict(fixed)
-            child[branch_var] = val
-            heapq.heappush(heap, (obj, seq, child))
-            seq += 1
-
-    if incumbent_x is None:
-        status = SolveStatus.ITERATION_LIMIT if limit_hit else SolveStatus.INFEASIBLE
-        return MilpSolution(status=status, objective=None, values=None,
-                            names=std.names, node_count=nodes, iterations=total_iters)
-
-    x = incumbent_x.copy()
-    x[std.binaries] = np.round(x[std.binaries])
-    status = SolveStatus.ITERATION_LIMIT if limit_hit else SolveStatus.OPTIMAL
-    return MilpSolution(status=status, objective=float(incumbent_obj), values=x,
-                        names=std.names, node_count=nodes, iterations=total_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,3 @@ def recompute_inertia(model: ClusterModel, days) -> float:
     points = np.asarray([np.asarray(d, dtype=float) for d in days])
     return float(((points - model.heads[model.assignments]) ** 2).sum())
 
-
-def export_heads_csv(model: ClusterModel, path) -> None:
-    """Cluster heads as CSV (cluster, hour, value) for external plotting."""
-    lines = ["cluster,hour,value"]
-    for c in range(model.k):
-        for h in range(HOURS_PER_DAY):
-            lines.append(f"{c},{h},{model.heads[c, h]:.6f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

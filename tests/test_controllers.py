@@ -12,7 +12,13 @@ from microdispatch.controllers import (
     run_simulation,
 )
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
-from microdispatch.dispatch import FORECAST, PERFECT, STOCHASTIC
+from microdispatch.dispatch import (
+    FORECAST,
+    PERFECT,
+    STOCHASTIC,
+    RealTimeContext,
+    build_realtime,
+)
 from microdispatch.domain import (
     CommittedHour,
     MicrogridConfig,
@@ -21,6 +27,7 @@ from microdispatch.domain import (
     validate_trajectory,
 )
 from microdispatch.forecasting import LoadPvForecaster
+from microdispatch.milp import solve_milp
 from microdispatch.scenarios import (
     build_dayahead_scenarios,
     build_realtime_scenarios,
@@ -44,6 +51,16 @@ def pipeline():
     forecaster = forecaster.warm_up(train[-40:])
     return {"train": train, "test": test, "scen_d": scen_d, "scen_r": scen_r,
             "forecaster": forecaster}
+
+
+@pytest.fixture(scope="module")
+def perfect_reset(pipeline):
+    """Two reset-mode days of perfect MPC, and the commitment cache it filled."""
+    cache = {}
+    options = SimulationOptions(initial_soc_kwh=12500.0, reset_soc_kwh=12500.0)
+    report = run_simulation(MpcController(PERFECT), pipeline["test"][:2], TARIFF, CFG,
+                            pipeline["scen_d"], options, commitment_cache=cache)
+    return report, cache
 
 
 def state_at(hour=0, soc=12500.0, dg_prev=0.0):
@@ -155,6 +172,26 @@ class TestRunSimulation:
         midnights = [r.state.soc_kwh for r in report.records
                      if r.state.hour_of_day == 0]
         assert midnights == [9000.0] * 3
+
+    def test_perfect_day_costs_its_hour_zero_objective(self, pipeline, perfect_reset):
+        # with exact information, re-planning every hour realizes the plan
+        # the midnight window already found
+        report, _ = perfect_reset
+        for d, day in enumerate(pipeline["test"][:2]):
+            context = RealTimeContext(state=state_at(0, soc=12500.0), start_hour=0, hours=24,
+                                      commitment=report.commitments[d],
+                                      load_kw=day.load_kw, pv_kw=day.pv_kw)
+            solution = solve_milp(build_realtime(context, TARIFF, CFG, PERFECT))
+            assert solution.ok
+            assert report.daily_costs[d] == pytest.approx(solution.objective, rel=1e-6)
+
+    def test_int_state_options_cost_the_same(self, pipeline, perfect_reset):
+        report, cache = perfect_reset
+        options = SimulationOptions(initial_soc_kwh=12500, reset_soc_kwh=12500,
+                                    initial_dg_kw=0)
+        again = run_simulation(MpcController(PERFECT), pipeline["test"][:2], TARIFF, CFG,
+                               pipeline["scen_d"], options, commitment_cache=cache)
+        assert np.array_equal(again.step_costs, report.step_costs)
 
     def test_abort_carries_partial_report(self, pipeline):
         class Flaky:

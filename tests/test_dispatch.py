@@ -24,7 +24,7 @@ from microdispatch.domain import (
     TariffSchedule,
     step_cost,
 )
-from microdispatch.milp import SolveStatus, solve_milp
+from microdispatch.milp import SolveStatus, dump_lp, solve_milp
 from microdispatch.scenarios import ScenarioSet
 
 CFG = MicrogridConfig()
@@ -269,6 +269,21 @@ class TestRealtimeBuilder:
         elastic = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT, elastic=True))
         assert elastic.status is SolveStatus.OPTIMAL
         assert extract_slack(elastic) > 0.0
+
+    def test_int_state_builds_the_float_model(self):
+        # an int SOC or generator power is a value, never a variable index
+        day = flat_day(7000, 0)
+        for soc, dg_prev in ((12500, 0), (9000, 6000)):
+            models = []
+            for cast in (int, float):
+                state = MicrogridState(hour_of_day=20, soc_kwh=cast(soc),
+                                       soc_midnight_kwh=cast(soc),
+                                       dg_prev_kw=cast(dg_prev), dg_on=dg_prev > 0)
+                ctx = RealTimeContext(state=state, start_hour=20, hours=4,
+                                      commitment=Commitment.zero(),
+                                      load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
+                models.append(dump_lp(build_realtime(ctx, TARIFF, CFG, PERFECT)))
+            assert models[0] == models[1]
 
     def test_empty_horizon_rejected(self):
         with pytest.raises(ModelBuildError):

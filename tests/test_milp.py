@@ -1,4 +1,6 @@
 import copy
+import ctypes
+import os
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +13,9 @@ from oracles import (
     vertex_enumeration_minimum,
 )
 
+from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
+from microdispatch.dispatch import PERFECT, RealTimeContext, build_realtime, solve_day_ahead
+from microdispatch.domain import Commitment, MicrogridConfig, MicrogridState, TariffSchedule
 from microdispatch.milp import (
     LinearProgram,
     SolveStatus,
@@ -19,8 +24,27 @@ from microdispatch.milp import (
     solve_lp,
     solve_milp,
 )
+from microdispatch.scenarios import build_dayahead_scenarios
 
 ORACLE_TOL = 1e-6
+
+
+def late_realtime_windows():
+    """Perfect-mode windows from hours 22 and 23 (8 and 4 binaries), with the
+    generator off and running, under no, a buying and a selling commitment."""
+    day = generate_dataset(SyntheticParams(seed=5, days=1))[0]
+    z = np.zeros(24)
+    buying = Commitment(np.full(24, 3000.0), z, z, np.full(24, 1000.0), np.ones(24, bool))
+    selling = Commitment(z, np.full(24, 1000.0), np.full(24, 1500.0), z, np.zeros(24, bool))
+    for hour in (22, 23):
+        for soc, dg_prev in ((9000.0, 0.0), (20000.0, 6000.0)):
+            state = MicrogridState(hour_of_day=hour, soc_kwh=soc, soc_midnight_kwh=soc,
+                                   dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+            for commitment in (Commitment.zero(), buying, selling):
+                context = RealTimeContext(state=state, start_hour=hour, hours=24 - hour,
+                                          commitment=commitment, load_kw=day.load_kw[hour:],
+                                          pv_kw=day.pv_kw[hour:])
+                yield build_realtime(context, TariffSchedule(), MicrogridConfig(), PERFECT)
 
 
 class TestSolveLp:
@@ -70,8 +94,7 @@ class TestSolveLp:
         assert sol.status is SolveStatus.ITERATION_LIMIT
 
     def test_degenerate_model_terminates(self):
-        # many redundant rows through one vertex: Dantzig pricing stalls,
-        # the Bland fallback must still finish
+        # many redundant rows through one vertex: a highly degenerate optimum
         model = LinearProgram()
         xs = [model.add_var(f"x{j}", 0, 10) for j in range(4)]
         for j in xs:
@@ -80,18 +103,17 @@ class TestSolveLp:
             model.add_row([(j, 1.0) for j in subset], "<=", 4.0)
         for subset in combinations(xs, 3):
             model.add_row([(j, 1.0) for j in subset], "<=", 6.0)
-        sol = solve_lp(model, engine="simplex")
+        sol = solve_lp(model)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(-8.0, abs=1e-7)
 
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_random_lps_match_vertex_enumeration(self, engine):
+    def test_random_lps_match_vertex_enumeration(self):
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(20):
             model = random_lp(rng)
             expect = vertex_enumeration_minimum(model)
-            sol = solve_lp(model, engine=engine)
+            sol = solve_lp(model)
             if expect is None:
                 assert sol.status is not SolveStatus.OPTIMAL
             else:
@@ -169,6 +191,15 @@ class TestSolveMilp:
                 feasible += 1
         assert feasible >= 25
 
+    def test_late_realtime_windows_match_binary_enumeration(self):
+        for model in late_realtime_windows():
+            assert sum(model.is_binary) <= 8
+            sol = solve_milp(model)
+            assert sol.status is SolveStatus.OPTIMAL
+            expect = binary_enumeration_minimum(model)
+            assert sol.objective == pytest.approx(expect, abs=ORACLE_TOL)
+            assert point_feasible(model, sol.values, tol=1e-6)
+
     def test_milp_bound_sanity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -189,6 +220,19 @@ class TestSolveMilp:
             assert a.objective == b.objective
             assert np.array_equal(a.values, b.values)
             assert a.node_count == b.node_count
+
+
+def test_day_ahead_solve_prints_nothing(capfd):
+    # HiGHS prints MIP progress lines from native code on this model
+    train, _ = split_train_test(generate_dataset(SyntheticParams(seed=42)))
+    config = MicrogridConfig()
+    os.write(1, b"before\n")
+    _, solution = solve_day_ahead(build_dayahead_scenarios(train), TariffSchedule(),
+                                  config.ess_energy_end, config)
+    os.write(1, b"after\n")
+    ctypes.CDLL(None).fflush(None)  # push out anything left in C stdio buffers
+    assert solution.ok
+    assert capfd.readouterr().out == "before\nafter\n"
 
 
 class TestDumpRoundTrip:
