@@ -92,6 +92,21 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_labe
     `grid_buy`/`grid_sell` are variable indices in the day-ahead program and
     folded into `net_load` otherwise. When `shared` is given, its variables
     are reused instead of declaring new ones (stochastic first hour).
+
+    The status `udg` and the ESS mode `uess` are binary; `start` and `stop`
+    are continuous in [0, 1], as in tight-and-compact unit commitment, and
+    the model stays exact. They appear in no objective term, only in the
+    four start/stop logic rows and the two ramp rows. Fix every other
+    variable, with `udg_prev` and `udg` integral. The ramp rows ask
+    `start` >= a / dg_startup_ramp and `stop` >= b / dg_shutdown_ramp, with
+    a = dg - dg_prev - dg_ramp_up * udg_prev and
+    b = dg_prev - dg_ramp_down * udg - dg, so a + b <= 0 and at most one is
+    positive. If a > 0, a feasible `start` > 0 means the logic rows allow a
+    start (`udg_prev` = 0, `udg` = 1), and (start, stop) = (1, 0) meets every
+    row. Otherwise (0, 1) does, which the logic rows admit for every status
+    pair. So each feasible fractional pair has an integral one beside it,
+    and every other variable has the same feasible set as with binary
+    `start`/`stop`.
     """
     if shared is None:
         v = {
@@ -100,8 +115,8 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_labe
             "dis": lp.add_var(f"dis[{hour_label}]", 0.0, cfg.ess_power_cap),
             "uess": lp.add_binary(f"uess[{hour_label}]"),
             "udg": lp.add_binary(f"udg[{hour_label}]"),
-            "start": lp.add_binary(f"start[{hour_label}]"),
-            "stop": lp.add_binary(f"stop[{hour_label}]"),
+            "start": lp.add_var(f"start[{hour_label}]", 0.0, 1.0),
+            "stop": lp.add_var(f"stop[{hour_label}]", 0.0, 1.0),
         }
         if elastic:
             v["slack"] = lp.add_var(f"slack[{hour_label}]", 0.0, ELASTIC_SLACK_CAP)
@@ -181,6 +196,11 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
     T = config.horizon_hours
     if not (config.ess_energy_min <= initial_soc_kwh <= config.ess_energy_max):
         raise ModelBuildError(f"initial SOC {initial_soc_kwh} outside the ESS bounds")
+    # the boundary rule of MicrogridState
+    if dg_on and dg_prev_kw <= 0:
+        raise ModelBuildError(f"dg_on requires a positive dg_prev_kw, got {dg_prev_kw}")
+    if not dg_on and dg_prev_kw != 0.0:
+        raise ModelBuildError(f"dg_prev_kw must be 0 while dg_on is False, got {dg_prev_kw}")
     for profile in scenarios.profiles:
         if len(profile.load_kw) != T:
             raise ModelBuildError("scenario length must equal the horizon")
@@ -364,7 +384,14 @@ def extract_commitment(solution: MilpSolution, config: MicrogridConfig) -> Commi
 
 
 def extract_setpoint(solution: MilpSolution, config: MicrogridConfig) -> DispatchSetpoint:
-    """First-hour decision of an optimal real-time solution; the rest is discarded."""
+    """First-hour decision of an optimal real-time solution; the rest is discarded.
+
+    `start[0]` and `stop[0]` are continuous, and an optimum may use any
+    fraction of a ramp allowance. A `start[0]` above ROUND_TOL with the
+    generator on is a start; otherwise a `stop[0]` above ROUND_TOL sets the
+    stop flag, so a plan that leans on the shutdown ramp gets it from the
+    plant. At most one flag is set.
+    """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"cannot extract from a {solution.status.value} solution")
     on = solution.value("udg[0]") > 0.5
@@ -376,10 +403,11 @@ def extract_setpoint(solution: MilpSolution, config: MicrogridConfig) -> Dispatc
         dis, chg = dis - chg, 0.0
     else:
         dis, chg = 0.0, chg - dis
+    start = on and solution.value("start[0]") > ROUND_TOL
     return DispatchSetpoint(
         dg_kw=dg, ess_charge_kw=chg, ess_discharge_kw=dis,
-        dg_start=solution.value("start[0]") > 0.5,
-        dg_stop=solution.value("stop[0]") > 0.5,
+        dg_start=start,
+        dg_stop=not start and solution.value("stop[0]") > ROUND_TOL,
     )
 
 

@@ -290,15 +290,23 @@ def solve_milp(model: LinearProgram, *,
     checked again. A search that hits `node_limit` nodes reports
     ITERATION_LIMIT. `iterations` is always 0: scipy does not report
     HiGHS's simplex iterations for a MILP.
+
+    HiGHS's feasibility-jump heuristic is off. It only hunts for feasible
+    points, so the zero-gap proof of optimality is unchanged, but it runs
+    on every call. On the 432 real-time windows of a seed-0 compare-reset
+    round (2 vCPUs), turning it off kept every node count, kept objectives
+    within 3e-15 relative, and cut the total solve time from 3.9 to 1.9 s
+    (perfect), 4.4 to 1.9 s (forecast) and 18.7 to 13.6 s (stochastic).
     """
     std = _Standard(model)
     integrality = np.zeros(std.n)
     integrality[std.binaries] = 1
     options = {"mip_rel_gap": 0.0, "node_limit": node_limit, "presolve": True,
-               **_HIGHS_TOLERANCES, "mip_feasibility_tolerance": 1e-9}
+               **_HIGHS_TOLERANCES, "mip_feasibility_tolerance": 1e-9,
+               "mip_heuristic_run_feasibility_jump": False}
     with warnings.catch_warnings():
-        # scipy forwards the HiGHS tolerance options verbatim but warns; that
-        # pass-through is exactly what we want
+        # scipy forwards the HiGHS tolerance and heuristic options verbatim
+        # but warns; that pass-through is exactly what we want
         warnings.filterwarnings("ignore", message="Unrecognized options",
                                 category=RuntimeWarning)
         res = _highs(scipy_milp, c=std.c, constraints=std.range_form(),

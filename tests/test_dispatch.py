@@ -1,9 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
+from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
 from microdispatch.dispatch import (
     FORECAST,
     PERFECT,
+    ROUND_TOL,
     STOCHASTIC,
     ExtractionError,
     ModelBuildError,
@@ -23,9 +27,16 @@ from microdispatch.domain import (
     MicrogridState,
     TariffSchedule,
     step_cost,
+    step_plant,
 )
-from microdispatch.milp import SolveStatus, dump_lp, solve_milp
-from microdispatch.scenarios import ScenarioSet
+from microdispatch.forecasting import LoadPvForecaster
+from microdispatch.milp import MilpSolution, SolveStatus, dump_lp, solve_milp
+from microdispatch.scenarios import (
+    ScenarioSet,
+    build_dayahead_scenarios,
+    build_realtime_scenarios,
+    kmeans,
+)
 
 CFG = MicrogridConfig()
 TARIFF = TariffSchedule()
@@ -127,6 +138,16 @@ class TestDayAheadBuilder:
     def test_bad_initial_soc_rejected(self):
         with pytest.raises(ModelBuildError):
             build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 100.0, CFG)
+
+    def test_power_with_generator_off_rejected(self):
+        with pytest.raises(ModelBuildError, match="dg_prev_kw.*dg_on"):
+            build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 12500.0, CFG,
+                            dg_prev_kw=500.0, dg_on=False)
+
+    def test_generator_on_without_power_rejected(self):
+        with pytest.raises(ModelBuildError, match="dg_on.*dg_prev_kw"):
+            build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 12500.0, CFG,
+                            dg_prev_kw=0.0, dg_on=True)
 
     def test_commitment_exclusivity_from_any_optimal_solution(self):
         scenarios = scenario_set([flat_day(7000, 1000), flat_day(5500, 9000),
@@ -309,3 +330,125 @@ class TestRealtimeBuilder:
         assert sp.dg_kw > 0
         assert CFG.dg_power_min <= sp.dg_kw <= CFG.dg_power_max
         assert sp.ess_charge_kw * sp.ess_discharge_kw == 0.0
+
+
+def first_hour_solution(**values):
+    """An optimal real-time solution with only first-hour values, zero by default."""
+    names = ("dg[0]", "ch[0]", "dis[0]", "uess[0]", "udg[0]", "start[0]", "stop[0]")
+    x = np.array([values.get(name[:-3], 0.0) for name in names])
+    return MilpSolution(status=SolveStatus.OPTIMAL, objective=0.0, values=x, names=names)
+
+
+class TestStartStopFlags:
+    @pytest.mark.parametrize("values, flags", [
+        # a start that uses a quarter of the startup ramp; the stray stop
+        # value is feasible in a start hour and must not reach the plant
+        (dict(udg=1.0, dg=1000.0, start=0.25, stop=0.5), (True, False)),
+        # a running hour that uses part of the shutdown ramp
+        (dict(udg=1.0, dg=2000.0, stop=0.3), (False, True)),
+        # a shut-down
+        (dict(udg=0.0, stop=1.0), (False, True)),
+        # solver dust is no flag
+        (dict(udg=1.0, dg=5000.0, start=0.5 * ROUND_TOL, stop=0.5 * ROUND_TOL),
+         (False, False)),
+    ])
+    def test_flags_from_continuous_values(self, values, flags):
+        sp = extract_setpoint(first_hour_solution(**values), CFG)
+        assert (sp.dg_start, sp.dg_stop) == flags
+
+    def test_plant_applies_a_plan_on_the_shutdown_ramp(self):
+        # running at 8000 kW with an empty battery and 3000 kW to cover: the
+        # plan drops 5000 kW, past dg_ramp_down, which only a stop allows
+        day = flat_day(3000, 0)
+        state = MicrogridState(hour_of_day=20, soc_kwh=CFG.ess_energy_min,
+                               soc_midnight_kwh=CFG.ess_energy_min,
+                               dg_prev_kw=8000.0, dg_on=True)
+        commitment = Commitment.zero()
+        ctx = RealTimeContext(state=state, start_hour=20, hours=4, commitment=commitment,
+                              load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
+        solution = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT))
+        sp = extract_setpoint(solution, CFG)
+        assert sp.dg_kw == pytest.approx(3000.0, abs=1e-6)
+        assert sp.dg_stop and not sp.dg_start
+        outcome = step_plant(state, sp, commitment.hour(20), 3000.0, 0.0,
+                             TARIFF.price(20), CFG)
+        assert outcome.applied.dg_kw == sp.dg_kw
+        assert not outcome.blackout
+
+
+@pytest.fixture(scope="module")
+def fitted_inputs():
+    """Day-ahead scenarios, real-time heads, a warm forecaster, a test day
+    and the contract-end commitment, all from the seed-42 year."""
+    train, test = split_train_test(generate_dataset(SyntheticParams(seed=42)))
+    day_ahead = build_dayahead_scenarios(train)
+    realtime = build_realtime_scenarios(kmeans([d.load_kw for d in train], 5, seed=0),
+                                        kmeans([d.pv_kw for d in train], 5, seed=1))
+    forecaster = LoadPvForecaster.fresh(CFG.forecast_theta, CFG.forecast_kappa)
+    commitment, _ = solve_day_ahead(day_ahead, TARIFF, CFG.ess_energy_end, CFG)
+    return {"day_ahead": day_ahead, "realtime": realtime,
+            "forecaster": forecaster.warm_up(train[-7:]), "day": test[0],
+            "commitment": commitment}
+
+
+def realtime_window(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
+    day = inputs["day"]
+    state = state_at(hour, soc, dg_prev)
+    common = dict(state=state, start_hour=hour, hours=24 - hour,
+                  commitment=inputs["commitment"])
+    if mode == PERFECT:
+        ctx = RealTimeContext(**common, load_kw=day.load_kw[hour:], pv_kw=day.pv_kw[hour:])
+    elif mode == FORECAST:
+        load, pv = inputs["forecaster"].forecast_profile(hour, 24 - hour)
+        load[0], pv[0] = day.load_kw[hour], day.pv_kw[hour]
+        ctx = RealTimeContext(**common, load_kw=load, pv_kw=pv)
+    else:
+        ctx = RealTimeContext(**common, scenarios=inputs["realtime"],
+                              measured_load_kw=float(day.load_kw[hour]),
+                              measured_pv_kw=float(day.pv_kw[hour]))
+    return build_realtime(ctx, TARIFF, CFG, mode)
+
+
+def with_binary_start_stop(model):
+    """A copy of `model` whose start/stop variables are binary again."""
+    binary = copy.deepcopy(model)
+    for idx, name in enumerate(binary.names):
+        if name.startswith(("start[", "stop[")):
+            binary.is_binary[idx] = True
+    return binary
+
+
+class TestContinuousStartStop:
+    def corpus(self, inputs):
+        for soc in (2500.0, 12500.0):
+            yield f"day-ahead soc {soc}", build_day_ahead(inputs["day_ahead"], TARIFF, soc, CFG)
+        for mode in (PERFECT, FORECAST, STOCHASTIC):
+            for hour in (0, 8, 16, 22):
+                yield f"{mode} hour {hour}", realtime_window(inputs, mode, hour)
+                # running above dg_ramp_down: a stop needs the shutdown ramp
+                yield (f"{mode} hour {hour} running",
+                       realtime_window(inputs, mode, hour, soc=9000.0, dg_prev=6000.0))
+
+    def test_binary_counts(self, fitted_inputs):
+        day_ahead = build_day_ahead(fitted_inputs["day_ahead"], TARIFF, 2500.0, CFG)
+        assert sum(day_ahead.is_binary) == 24 + 3 * 24 * 2
+        assert sum(realtime_window(fitted_inputs, PERFECT, 0).is_binary) == 24 * 2
+        # five scenarios sharing the first hour
+        assert sum(realtime_window(fitted_inputs, STOCHASTIC, 0).is_binary) == 2 + 5 * 23 * 2
+
+    def test_objectives_equal_the_binary_model(self, fitted_inputs):
+        for label, model in self.corpus(fitted_inputs):
+            binary = with_binary_start_stop(model)
+            assert sum(binary.is_binary) > sum(model.is_binary), label
+            relaxed = solve_milp(model)
+            exact = solve_milp(binary)
+            assert relaxed.ok and exact.ok, label
+            assert relaxed.objective == pytest.approx(exact.objective, rel=1e-9, abs=0.0), label
+
+    def test_stochastic_window_solves_bit_for_bit(self, fitted_inputs):
+        model = realtime_window(fitted_inputs, STOCHASTIC, 0)
+        a = solve_milp(model)
+        b = solve_milp(copy.deepcopy(model))
+        assert a.ok and b.ok
+        assert a.objective == b.objective
+        assert np.array_equal(a.values, b.values)
