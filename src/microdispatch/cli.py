@@ -9,12 +9,9 @@ wall-clock timing columns, which are measurements by nature.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from microdispatch.controllers import (
     CONTROLLER_KINDS,
@@ -25,15 +22,13 @@ from microdispatch.controllers import (
     RULE_BASED,
     MpcController,
     RuleBasedController,
-    SimulationAborted,
     SimulationOptions,
-    run_simulation,
+    compare_controllers,
 )
 from microdispatch.dataio import (
     DataFormatError,
     SyntheticParams,
     generate_dataset,
-    load_commitment,
     load_config,
     save_commitment,
     split_train_test,
@@ -179,27 +174,21 @@ def cmd_train_drl(args) -> int:
 
 
 def _run_controllers(args, kinds):
+    """Run `kinds` on what follows the 11-month training span, each trained on
+    the trailing `--train-months` of it, as `day-ahead` and `train-drl` are."""
     config, tariff = _load_setup(args)
     days = read_profiles(args.data)
-    train, test = split_train_test(days, train_months=args.train_months)
+    train = _training_slice(days, args.train_months)
+    _, test = split_train_test(days)
     if args.days is not None:
         test = test[:args.days]
-    scenarios = build_dayahead_scenarios(train)
     options = SimulationOptions(
         initial_soc_kwh=args.initial_soc,
         reset_soc_kwh=args.reset_soc,
-        planning_soc=_planning_soc(args),
-        seed=args.seed)
-    cache: dict = {}
-    reports, failures = {}, {}
-    for kind in kinds:
-        controller = _build_controller(kind, train, config, args)
-        try:
-            reports[kind] = run_simulation(controller, test, tariff, config,
-                                           scenarios, options,
-                                           commitment_cache=cache)
-        except SimulationAborted as exc:
-            failures[kind] = str(exc)
+        planning_soc=_planning_soc(args))
+    controllers = {kind: _build_controller(kind, train, config, args) for kind in kinds}
+    reports, failures = compare_controllers(controllers, test, tariff, config,
+                                            build_dayahead_scenarios(train), options)
     return config, tariff, test, reports, failures
 
 

@@ -37,6 +37,7 @@ from microdispatch.domain import (
     TariffSchedule,
     advance_state,
     clamp_dg,
+    residual_setpoint,
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
@@ -97,15 +98,7 @@ def rule_based_decide(state: MicrogridState, load_kw: float, pv_kw: float,
 
     probe = DispatchSetpoint(dg_kw=max(dg_request, 0.0), dg_stop=stop_flag)
     dg_applied, _, started, stopped = clamp_dg(state, probe, config)
-
-    residual = requirement - dg_applied
-    return DispatchSetpoint(
-        dg_kw=dg_applied,
-        ess_discharge_kw=max(residual, 0.0),
-        ess_charge_kw=max(-residual, 0.0),
-        dg_start=started,
-        dg_stop=stopped,
-    )
+    return residual_setpoint(dg_applied, started, stopped, load_kw, pv_kw, committed)
 
 
 def _cycle_charge_target(state, requirement, committed, config):
@@ -259,7 +252,6 @@ class SimulationOptions:
     reset_soc_kwh: float | None = None
     planning_soc: str | float = PLANNING_CONTRACT_END
     initial_dg_kw: float = 0.0
-    seed: int = 0
 
 
 def _planning_soc_value(policy, state: MicrogridState, config: MicrogridConfig) -> float:
@@ -335,16 +327,21 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
 
 def compare_controllers(controllers: dict, days, tariff: TariffSchedule,
                         config: MicrogridConfig, day_ahead_scenarios: ScenarioSet,
-                        options: SimulationOptions = SimulationOptions()) -> dict:
+                        options: SimulationOptions = SimulationOptions()
+                        ) -> tuple[dict, dict]:
     """Run several controllers over the same days with shared commitments.
 
-    Returns {name: SimulationReport}; raises SimulationAborted on the first
-    controller failure (its partial report attached).
+    Returns ({name: SimulationReport}, {name: message}). A controller that
+    aborts is recorded with its message in the second map, and the ones
+    after it still run.
     """
     cache: dict = {}
-    reports = {}
+    reports, failures = {}, {}
     for name, controller in controllers.items():
-        reports[name] = run_simulation(controller, days, tariff, config,
-                                       day_ahead_scenarios, options,
-                                       commitment_cache=cache)
-    return reports
+        try:
+            reports[name] = run_simulation(controller, days, tariff, config,
+                                           day_ahead_scenarios, options,
+                                           commitment_cache=cache)
+        except SimulationAborted as exc:
+            failures[name] = str(exc)
+    return reports, failures

@@ -80,18 +80,44 @@ class RealTimeContext:
             object.__setattr__(self, "pv_kw", pv)
 
 
-def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_label,
-                    *, soc_prev, udg_prev, dg_prev,
-                    reserve_down, reserve_up, net_load,
-                    grid_buy=None, grid_sell=None,
-                    shared: dict | None = None,
+def _var(idx: int):
+    """A variable as a linear expression `(terms, constant)`."""
+    return [(idx, 1.0)], 0.0
+
+
+def _const(value: float):
+    """A constant as a linear expression `(terms, constant)`."""
+    return [], float(value)
+
+
+_ZERO = _const(0.0)
+
+
+def _add_row(lp: LinearProgram, terms: list, rel: str, rhs: float,
+             coef: float, expr, coef2: float = 0.0, expr2=_ZERO) -> None:
+    """The row `terms + coef * expr + coef2 * expr2 rel rhs`, with the
+    expressions' constants moved to the right-hand side."""
+    for idx, a in expr[0]:
+        terms.append((idx, coef * a))
+    for idx, a in expr2[0]:
+        terms.append((idx, coef2 * a))
+    lp.add_row(terms, rel, rhs - coef * expr[1] - coef2 * expr2[1])
+
+
+def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_label: str,
+                    prev: dict, *, reserve_down, reserve_up, net_load: float,
+                    grid=_ZERO, shared: dict | None = None,
                     elastic: bool = False) -> dict:
     """Declare one hour's plant variables and constraint rows.
 
-    `soc_prev`/`udg_prev`/`dg_prev` are variable indices or float constants.
-    `grid_buy`/`grid_sell` are variable indices in the day-ahead program and
-    folded into `net_load` otherwise. When `shared` is given, its variables
-    are reused instead of declaring new ones (stochastic first hour).
+    Everything the hour couples to is a linear expression `(terms,
+    constant)` made by `_var` or `_const`: the previous hour's `prev["soc"]`,
+    `prev["udg"]` and `prev["dg"]`, the two reserves, and the grid exchange
+    `grid`, which is a pair of variables in the day-ahead program and zero
+    otherwise (the committed values are then folded into `net_load`). So a
+    value is a constant and a variable is an index whatever its Python type.
+    When `shared` is given, its variables are reused instead of declaring
+    new ones (stochastic first hour). Returns the hour's variable indices.
 
     The status `udg` and the ESS mode `uess` are binary; `start` and `stop`
     are continuous in [0, 1], as in tight-and-compact unit commitment, and
@@ -128,65 +154,44 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_labe
     uess, udg, start, stop = v["uess"], v["udg"], v["start"], v["stop"]
     soc = v["soc"]
 
-    # power balance (grid committed values already inside net_load if constant)
+    # power balance
     balance = [(dis, 1.0), (ch, -1.0), (dg, 1.0)]
-    if grid_buy is not None:
-        balance += [(grid_buy, 1.0), (grid_sell, -1.0)]
     if elastic:
         balance.append((v["slack"], 1.0))
-    lp.add_row(balance, ">=", net_load)
+    _add_row(lp, balance, ">=", net_load, 1.0, grid)
 
     # ESS mode gating and rated power
     lp.add_row([(dis, 1.0), (uess, -cfg.ess_power_cap)], "<=", 0.0)
     lp.add_row([(ch, 1.0), (uess, cfg.ess_power_cap)], "<=", cfg.ess_power_cap)
 
     # SOC recursion
-    soc_terms = [(soc, 1.0), (dis, cfg.eta_discharge), (ch, -cfg.eta_charge)]
-    if isinstance(soc_prev, (int, np.integer)):
-        soc_terms.append((int(soc_prev), -1.0))
-        lp.add_row(soc_terms, "=", 0.0)
-    else:
-        lp.add_row(soc_terms, "=", float(soc_prev))
+    _add_row(lp, [(soc, 1.0), (dis, cfg.eta_discharge), (ch, -cfg.eta_charge)], "=", 0.0,
+             -1.0, prev["soc"])
 
     # reserve headroom around the rated power
-    if isinstance(reserve_down, (int, np.integer)):
-        lp.add_row([(int(reserve_down), 1.0), (dis, 1.0), (ch, -1.0)],
-                   "<=", cfg.ess_power_cap)
-        lp.add_row([(int(reserve_up), 1.0), (dis, -1.0), (ch, 1.0)],
-                   "<=", cfg.ess_power_cap)
-    else:
-        lp.add_row([(dis, 1.0), (ch, -1.0)], "<=", cfg.ess_power_cap - float(reserve_down))
-        lp.add_row([(dis, -1.0), (ch, 1.0)], "<=", cfg.ess_power_cap - float(reserve_up))
+    _add_row(lp, [(dis, 1.0), (ch, -1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_down)
+    _add_row(lp, [(dis, -1.0), (ch, 1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_up)
 
     # DG start/stop logic
     lp.add_row([(start, 1.0), (stop, 1.0)], "<=", 1.0)
-    status_terms = [(start, 1.0), (stop, -1.0), (udg, -1.0)]
-    if isinstance(udg_prev, (int, np.integer)):
-        lp.add_row(status_terms + [(int(udg_prev), 1.0)], "<=", 0.0)
-        lp.add_row([(start, 1.0), (int(udg_prev), 1.0)], "<=", 1.0)
-    else:
-        lp.add_row(status_terms, "<=", -float(udg_prev))
-        lp.add_row([(start, 1.0)], "<=", 1.0 - float(udg_prev))
+    _add_row(lp, [(start, 1.0), (stop, -1.0), (udg, -1.0)], "<=", 0.0,
+             1.0, prev["udg"])
+    _add_row(lp, [(start, 1.0)], "<=", 1.0, 1.0, prev["udg"])
     lp.add_row([(start, 1.0), (udg, -1.0)], "<=", 0.0)
 
     # DG capacity window and ramps
     lp.add_row([(dg, 1.0), (udg, -cfg.dg_power_max)], "<=", 0.0)
     lp.add_row([(dg, -1.0), (udg, cfg.dg_power_min)], "<=", 0.0)
-    up_terms = [(dg, 1.0), (start, -cfg.dg_startup_ramp)]
-    down_terms = [(dg, -1.0), (udg, -cfg.dg_ramp_down), (stop, -cfg.dg_shutdown_ramp)]
-    if isinstance(dg_prev, (int, np.integer)):
-        up_terms += [(int(dg_prev), -1.0)]
-        down_terms += [(int(dg_prev), 1.0)]
-        rhs_up, rhs_down = 0.0, 0.0
-    else:
-        rhs_up, rhs_down = float(dg_prev), -float(dg_prev)
-    if isinstance(udg_prev, (int, np.integer)):
-        up_terms += [(int(udg_prev), -cfg.dg_ramp_up)]
-    else:
-        rhs_up += cfg.dg_ramp_up * float(udg_prev)
-    lp.add_row(up_terms, "<=", rhs_up)
-    lp.add_row(down_terms, "<=", rhs_down)
+    _add_row(lp, [(dg, 1.0), (start, -cfg.dg_startup_ramp)], "<=", 0.0,
+             -1.0, prev["dg"], -cfg.dg_ramp_up, prev["udg"])
+    _add_row(lp, [(dg, -1.0), (udg, -cfg.dg_ramp_down), (stop, -cfg.dg_shutdown_ramp)],
+             "<=", 0.0, 1.0, prev["dg"])
     return v
+
+
+def _carried(v: dict) -> dict:
+    """The coupling expressions an hour hands to the next one."""
+    return {"soc": _var(v["soc"]), "udg": _var(v["udg"]), "dg": _var(v["dg"])}
 
 
 def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
@@ -206,52 +211,74 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
             raise ModelBuildError("scenario length must equal the horizon")
 
     lp = LinearProgram()
-    gb, gs, rd, rc, ug = [], [], [], [], []
+    schedule = []  # per hour: the grid exchange and the two reserves
     for t in range(T):
-        gb.append(lp.add_var(f"gb[{t}]", 0.0, config.grid_power_cap))
-        gs.append(lp.add_var(f"gs[{t}]", 0.0, config.grid_power_cap))
-        rd.append(lp.add_var(f"rd[{t}]", 0.0, config.ess_power_cap))
-        rc.append(lp.add_var(f"rc[{t}]", 0.0, config.ess_power_cap))
-        ug.append(lp.add_binary(f"ug[{t}]"))
+        gb = lp.add_var(f"gb[{t}]", 0.0, config.grid_power_cap)
+        gs = lp.add_var(f"gs[{t}]", 0.0, config.grid_power_cap)
+        rd = lp.add_var(f"rd[{t}]", 0.0, config.ess_power_cap)
+        rc = lp.add_var(f"rc[{t}]", 0.0, config.ess_power_cap)
+        ug = lp.add_binary(f"ug[{t}]")
         price = tariff.price(t)
-        lp.set_objective(gb[t], price)
-        lp.set_objective(gs[t], -price)
-        lp.set_objective(rd[t], -config.reserve_revenue)
-        lp.set_objective(rc[t], -config.reserve_revenue)
+        lp.set_objective(gb, price)
+        lp.set_objective(gs, -price)
+        lp.set_objective(rd, -config.reserve_revenue)
+        lp.set_objective(rc, -config.reserve_revenue)
         # buy/sell exclusivity and reserve gating by the committed mode
-        lp.add_row([(gb[t], 1.0), (ug[t], -config.grid_power_cap)], "<=", 0.0)
-        lp.add_row([(gs[t], 1.0), (ug[t], config.grid_power_cap)], "<=",
-                   config.grid_power_cap)
-        lp.add_row([(rd[t], 1.0), (ug[t], config.ess_power_cap)], "<=",
-                   config.ess_power_cap)
-        lp.add_row([(rc[t], 1.0), (ug[t], -config.ess_power_cap)], "<=", 0.0)
+        lp.add_row([(gb, 1.0), (ug, -config.grid_power_cap)], "<=", 0.0)
+        lp.add_row([(gs, 1.0), (ug, config.grid_power_cap)], "<=", config.grid_power_cap)
+        lp.add_row([(rd, 1.0), (ug, config.ess_power_cap)], "<=", config.ess_power_cap)
+        lp.add_row([(rc, 1.0), (ug, -config.ess_power_cap)], "<=", 0.0)
+        schedule.append((([(gb, 1.0), (gs, -1.0)], 0.0), _var(rd), _var(rc)))
 
-    for s, (profile, prob) in enumerate(zip(scenarios.profiles, scenarios.probabilities)):
-        prev = {"soc": float(initial_soc_kwh),
-                "udg": 1.0 if dg_on else 0.0,
-                "dg": float(dg_prev_kw)}
-        for t in range(T):
+    boundary = {"soc": _const(initial_soc_kwh), "udg": _const(dg_on),
+                "dg": _const(dg_prev_kw)}
+    for s, (profile, prob) in enumerate(zip(scenarios.profiles,
+                                            scenarios.probabilities.tolist())):
+        net_load = (profile.load_kw - profile.pv_kw).tolist()
+        prev = boundary
+        for t, (grid, reserve_down, reserve_up) in enumerate(schedule):
             v = _add_hour_block(
-                lp, config, tag=f"{s},", hour_label=f"{s},{t}",
-                soc_prev=prev["soc"], udg_prev=prev["udg"], dg_prev=prev["dg"],
-                reserve_down=rd[t], reserve_up=rc[t],
-                net_load=float(profile.load_kw[t] - profile.pv_kw[t]),
-                grid_buy=gb[t], grid_sell=gs[t])
+                lp, config, tag=f"{s},", hour_label=f"{s},{t}", prev=prev,
+                reserve_down=reserve_down, reserve_up=reserve_up,
+                net_load=net_load[t], grid=grid)
             lp.set_objective(v["dg"], prob * config.dg_unit_cost)
             lp.set_objective(v["ch"], prob * config.ess_unit_cost)
             lp.set_objective(v["dis"], prob * config.ess_unit_cost)
-            prev = {"soc": v["soc"], "udg": v["udg"], "dg": v["dg"]}
-        lp.add_row([(prev["soc"], 1.0)], ">=", config.ess_energy_end)
+            prev = _carried(v)
+        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
 
 
-def _scenario_window(profile, start_hour: int, hours: int,
-                     measured_load: float, measured_pv: float):
-    load = np.array(profile.load_kw[start_hour:start_hour + hours], dtype=float)
-    pv = np.array(profile.pv_kw[start_hour:start_hour + hours], dtype=float)
-    load[0] = measured_load
-    pv[0] = measured_pv
-    return load, pv
+def _windows(context: RealTimeContext, mode: str) -> list[list]:
+    """The window's (load, pv, probability) profiles.
+
+    A deterministic mode has one profile of probability 1. Stochastic mode
+    has one per scenario, with the live measurement replacing the first
+    hour, and merges scenarios that are then identical over the window: an
+    exact reduction, which collapses the program onto the deterministic one
+    when all heads agree.
+    """
+    if mode in (PERFECT, FORECAST):
+        if context.load_kw is None:
+            raise ModelBuildError(f"{mode} mode needs a profile in the context")
+        return [[context.load_kw, context.pv_kw, 1.0]]
+    if (context.scenarios is None or context.measured_load_kw is None
+            or context.measured_pv_kw is None):
+        raise ModelBuildError("stochastic mode needs scenarios and a live measurement")
+    scen = context.scenarios
+    h0 = context.start_hour
+    windows: list[list] = []
+    for profile, prob in zip(scen.profiles, scen.probabilities):
+        load = np.array(profile.load_kw[h0:], dtype=float)
+        pv = np.array(profile.pv_kw[h0:], dtype=float)
+        load[0], pv[0] = context.measured_load_kw, context.measured_pv_kw
+        for existing in windows:
+            if np.array_equal(existing[0], load) and np.array_equal(existing[1], pv):
+                existing[2] += prob
+                break
+        else:
+            windows.append([load, pv, float(prob)])
+    return windows
 
 
 def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
@@ -259,97 +286,52 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                    *, elastic: bool = False) -> LinearProgram:
     """Rolling-window model with the committed schedule folded in as data.
 
-    Deterministic modes optimize one profile; stochastic mode carries one
-    recourse copy per scenario with the seven first-hour decision variables
-    shared, and the live measurement replacing every scenario's first hour.
-    With `elastic`, the balance rows gain a penalized shortfall variable so
-    an unreachable commitment produces a plan instead of an infeasibility.
+    The model carries one recourse copy per window profile (see `_windows`)
+    with the seven first-hour decision variables shared, named `dg[0]` etc.;
+    later hours of profile `s` are named `dg[s,k]`. A deterministic mode is
+    the single-profile case. With `elastic`, the balance rows gain a
+    penalized shortfall variable so an unreachable commitment produces a
+    plan instead of an infeasibility.
     """
     if mode not in (PERFECT, FORECAST, STOCHASTIC):
         raise ModelBuildError(f"unknown mode {mode!r}")
+    windows = _windows(context, mode)
     state = context.state
-    H = context.hours
     h0 = context.start_hour
-    commitment = context.commitment
+    committed = [context.commitment.hour(h0 + k) for k in range(context.hours)]
 
     lp = LinearProgram()
     offset = 0.0
-    for k in range(H):
-        t = h0 + k
-        ch = commitment.hour(t)
-        offset += (tariff.price(t) * (ch.grid_buy_kw - ch.grid_sell_kw)
+    for k, ch in enumerate(committed):
+        offset += (tariff.price(h0 + k) * (ch.grid_buy_kw - ch.grid_sell_kw)
                    - config.reserve_revenue * (ch.reserve_down_kw + ch.reserve_up_kw))
     lp.objective_offset = offset
 
-    def block(k: int, tag: str, label: str, weight: float, *, prev,
-              load_k: float, pv_k: float, shared=None):
-        t = h0 + k
-        ch = commitment.hour(t)
-        net = float(load_k - pv_k - ch.grid_buy_kw + ch.grid_sell_kw)
-        v = _add_hour_block(
-            lp, config, tag=tag, hour_label=label,
-            soc_prev=prev["soc"], udg_prev=prev["udg"], dg_prev=prev["dg"],
-            reserve_down=ch.reserve_down_kw, reserve_up=ch.reserve_up_kw,
-            net_load=net, shared=shared, elastic=elastic)
-        # objective coefficients accumulate, so per-scenario weights on the
-        # shared first-hour variables sum back to an unweighted hour
-        lp.set_objective(v["dg"], weight * config.dg_unit_cost)
-        lp.set_objective(v["ch"], weight * config.ess_unit_cost)
-        lp.set_objective(v["dis"], weight * config.ess_unit_cost)
-        if elastic:
-            lp.set_objective(v["slack"],
-                             weight * ELASTIC_PENALTY_FACTOR * config.dg_unit_cost)
-        return v
-
-    # floats, because _add_hour_block reads an int as a variable index
-    boundary = {"soc": float(state.soc_kwh),
-                "udg": 1.0 if state.dg_on else 0.0,
-                "dg": float(state.dg_prev_kw)}
-
-    if mode in (PERFECT, FORECAST):
-        if context.load_kw is None:
-            raise ModelBuildError(f"{mode} mode needs a profile in the context")
-        prev = boundary
-        for k in range(H):
-            v = block(k, tag="", label=str(k), weight=1.0, prev=prev,
-                      load_k=context.load_kw[k], pv_k=context.pv_kw[k])
-            prev = {"soc": v["soc"], "udg": v["udg"], "dg": v["dg"]}
-        lp.add_row([(prev["soc"], 1.0)], ">=", config.ess_energy_end)
-        return lp
-
-    if context.scenarios is None or context.measured_load_kw is None:
-        raise ModelBuildError("stochastic mode needs scenarios and a live measurement")
-    scen = context.scenarios
-
-    # merge scenarios that are identical over the remaining window (the live
-    # measurement already replaced their first hour): an exact reduction that
-    # collapses the program onto the deterministic one when all heads agree
-    windows: list[list] = []
-    for profile, prob in zip(scen.profiles, scen.probabilities):
-        load, pv = _scenario_window(profile, h0, H,
-                                    context.measured_load_kw, context.measured_pv_kw)
-        for existing in windows:
-            if np.array_equal(existing[0], load) and np.array_equal(existing[1], pv):
-                existing[2] += prob
-                break
-        else:
-            windows.append([load, pv, float(prob)])
-
-    shared_first: dict | None = None
+    boundary = {"soc": _const(state.soc_kwh), "udg": _const(state.dg_on),
+                "dg": _const(state.dg_prev_kw)}
+    first: dict | None = None
     for s, (load, pv, prob) in enumerate(windows):
         prev = boundary
-        for k in range(H):
-            shared = shared_first if k == 0 else None
-            label = "0" if k == 0 else f"{s},{k}"
-            v = block(k, tag=f"{s},", label=label, weight=prob, prev=prev,
-                      load_k=load[k], pv_k=pv[k], shared=shared)
-            if k == 0 and shared_first is None:
-                keys = ["dg", "ch", "dis", "uess", "udg", "start", "stop"]
-                if elastic:
-                    keys.append("slack")
-                shared_first = {key: v[key] for key in keys}
-            prev = {"soc": v["soc"], "udg": v["udg"], "dg": v["dg"]}
-        lp.add_row([(prev["soc"], 1.0)], ">=", config.ess_energy_end)
+        for k, ch in enumerate(committed):
+            v = _add_hour_block(
+                lp, config, tag=f"{s},", hour_label="0" if k == 0 else f"{s},{k}",
+                prev=prev,
+                reserve_down=_const(ch.reserve_down_kw),
+                reserve_up=_const(ch.reserve_up_kw),
+                net_load=float(load[k] - pv[k] - ch.grid_buy_kw + ch.grid_sell_kw),
+                shared=first if k == 0 else None, elastic=elastic)
+            # objective coefficients accumulate, so per-scenario weights on the
+            # shared first-hour variables sum back to an unweighted hour
+            lp.set_objective(v["dg"], prob * config.dg_unit_cost)
+            lp.set_objective(v["ch"], prob * config.ess_unit_cost)
+            lp.set_objective(v["dis"], prob * config.ess_unit_cost)
+            if elastic:
+                lp.set_objective(v["slack"],
+                                 prob * ELASTIC_PENALTY_FACTOR * config.dg_unit_cost)
+            if first is None:
+                first = {key: idx for key, idx in v.items() if key != "soc"}
+            prev = _carried(v)
+        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
 
 
@@ -420,11 +402,11 @@ def extract_slack(solution: MilpSolution) -> float:
 
 
 def solve_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
-                    initial_soc_kwh: float, config: MicrogridConfig,
-                    **solve_kwargs) -> tuple[Commitment, MilpSolution]:
+                    initial_soc_kwh: float, config: MicrogridConfig
+                    ) -> tuple[Commitment, MilpSolution]:
     """Build and solve the commitment program, returning both artifacts."""
     model = build_day_ahead(scenarios, tariff, initial_soc_kwh, config)
-    solution = solve_milp(model, **solve_kwargs)
+    solution = solve_milp(model)
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"day-ahead solve ended {solution.status.value}")
     return extract_commitment(solution, config), solution

@@ -8,8 +8,7 @@ evaluated concurrently without shared state.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -296,6 +295,19 @@ def clamp_dg(state: MicrogridState, setpoint: DispatchSetpoint,
         return 0.0, False, False, False
     hi = min(config.dg_power_max, config.dg_startup_ramp)
     return min(max(req, config.dg_power_min), hi), True, True, False
+
+
+def residual_setpoint(dg_kw: float, dg_start: bool, dg_stop: bool,
+                      load_kw: float, pv_kw: float,
+                      committed: CommittedHour) -> DispatchSetpoint:
+    """The generator at `dg_kw` with its flags, and the battery taking the
+    balance residual `load - pv - (buy - sell) - dg`: discharging when it is
+    positive, charging when it is negative."""
+    residual = load_kw - pv_kw - (committed.grid_buy_kw - committed.grid_sell_kw) - dg_kw
+    return DispatchSetpoint(dg_kw=dg_kw,
+                            ess_discharge_kw=max(residual, 0.0),
+                            ess_charge_kw=max(-residual, 0.0),
+                            dg_start=dg_start, dg_stop=dg_stop)
 
 
 def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from microdispatch.domain import (
     MicrogridState,
     advance_state,
     clamp_dg,
+    residual_setpoint,
     step_plant,
 )
 
@@ -327,11 +327,7 @@ class TrainingEnvironment:
         committed = self.commitment.hour(h)
 
         dg_kw, started, stopped = action_to_dg(action_index, self.state, self.config)
-        residual = load - pv - (committed.grid_buy_kw - committed.grid_sell_kw) - dg_kw
-        setpoint = DispatchSetpoint(dg_kw=dg_kw,
-                                    ess_discharge_kw=max(residual, 0.0),
-                                    ess_charge_kw=max(-residual, 0.0),
-                                    dg_start=started, dg_stop=stopped)
+        setpoint = residual_setpoint(dg_kw, started, stopped, load, pv, committed)
         outcome = step_plant(self.state, setpoint, committed, load, pv,
                              self.tariff.price(h), self.config)
         step_reward = reward(outcome.step_cost, outcome.blackout, self.config)
@@ -415,8 +411,4 @@ class DrlController:
         obs = encode_state(state, load, pv, config, self.policy.normalization)
         action = self.policy.action(obs)
         dg_kw, started, stopped = action_to_dg(action, state, config)
-        residual = load - pv - (committed.grid_buy_kw - committed.grid_sell_kw) - dg_kw
-        return DispatchSetpoint(dg_kw=dg_kw,
-                                ess_discharge_kw=max(residual, 0.0),
-                                ess_charge_kw=max(-residual, 0.0),
-                                dg_start=started, dg_stop=stopped)
+        return residual_setpoint(dg_kw, started, stopped, load, pv, committed)

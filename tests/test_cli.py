@@ -23,6 +23,13 @@ def small_year(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def full_year(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "year.csv"
+    assert run(["generate", "--days", "365", "--seed", "2", "-o", str(path)]) == 0
+    return path
+
+
 class TestGenerate:
     def test_full_year_row_count(self, tmp_path):
         out = tmp_path / "data.csv"
@@ -67,12 +74,10 @@ class TestTrainDrl:
         assert payload["layer_sizes"] == [6, 64, 128, 128, 64, 40]
         assert curve.read_text().splitlines() == ["episode,total_reward"]
 
-    def test_training_months_set_default_episode_count(self, tmp_path):
-        year = tmp_path / "year.csv"
-        assert run(["generate", "--days", "365", "--seed", "2", "-o", str(year)]) == 0
+    def test_training_months_set_default_episode_count(self, full_year, tmp_path):
         weights = tmp_path / "w.json"
         curve = tmp_path / "curve.csv"
-        assert run(["train-drl", "--data", str(year), "--train-months", "1",
+        assert run(["train-drl", "--data", str(full_year), "--train-months", "1",
                     "--epsilon-decay-steps", "400",
                     "--out", str(weights), "--curve", str(curve)]) == 0
         # one pass over November: one episode per day
@@ -102,6 +107,14 @@ class TestSimulateCompareValidate:
         assert payload["hours"] == 48
         assert len(payload["ledger"]) == 48
         assert len(trace.read_text().splitlines()) == 49
+
+    def test_training_months_leave_the_december_test_window(self, full_year, tmp_path):
+        # one trailing training month (November); the test window stays December
+        report = tmp_path / "report.json"
+        assert run(["simulate", "--data", str(full_year), "--controller", "rule-based",
+                    "--train-months", "1", "--planning-soc", "contract-end",
+                    "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["hours"] == 31 * 24
 
     def test_compare_emits_tables(self, small_year, tmp_path):
         out = tmp_path / "cmp"

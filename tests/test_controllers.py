@@ -285,11 +285,12 @@ class TestModeEquivalences:
 class TestCompare:
     def test_shared_commitments_and_dominance(self, pipeline):
         options = SimulationOptions(reset_soc_kwh=12500.0)
-        reports = compare_controllers(
+        reports, failures = compare_controllers(
             {"mpc-perfect": MpcController(PERFECT),
              "rule-based": RuleBasedController(),
              "mpc-stochastic": MpcController(STOCHASTIC, scenarios=pipeline["scen_r"])},
             pipeline["test"][:2], TARIFF, CFG, pipeline["scen_d"], options)
+        assert not failures
         base = reports["mpc-perfect"]
         for name, rep in reports.items():
             for ca, cb in zip(rep.commitments, base.commitments):
@@ -297,6 +298,21 @@ class TestCompare:
         for name in ("rule-based", "mpc-stochastic"):
             assert (reports[name].daily_costs
                     >= base.daily_costs - 1e-6).all(), name
+
+    def test_an_aborted_controller_does_not_stop_the_next(self, pipeline):
+        class Broken:
+            kind = "broken"
+
+            def decide(self, *args):
+                raise ControllerError("boom")
+
+        reports, failures = compare_controllers(
+            {"broken": Broken(), "rule-based": RuleBasedController()},
+            pipeline["test"][:1], TARIFF, CFG, pipeline["scen_d"])
+        assert list(failures) == ["broken"]
+        assert failures["broken"] == "broken failed at day 0 hour 0: boom"
+        assert list(reports) == ["rule-based"]
+        assert reports["rule-based"].hours == 24
 
     def test_mean_decision_seconds_recorded(self, pipeline):
         report = run_simulation(RuleBasedController(), pipeline["test"][:1],

@@ -30,7 +30,7 @@ from microdispatch.domain import (
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
-from microdispatch.milp import MilpSolution, SolveStatus, dump_lp, solve_milp
+from microdispatch.milp import MilpSolution, SolveStatus, _Standard, dump_lp, solve_milp
 from microdispatch.scenarios import (
     ScenarioSet,
     build_dayahead_scenarios,
@@ -69,6 +69,17 @@ def point_feasible(model, x, tol=1e-6):
         if rel == "=" and abs(val - rhs) > tol:
             return False
     return True
+
+
+def assert_same_standard_form(a, b):
+    """The two models hand the solver equal arrays, names included."""
+    sa, sb = _Standard(a), _Standard(b)
+    assert sa.names == sb.names
+    assert sa.offset == sb.offset
+    for field in ("c", "lb", "ub", "binaries", "rels", "rhs"):
+        assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sa.rows, field), getattr(sb.rows, field)), field
 
 
 def perfect_context(day, hour=0, soc=12500.0, commitment=None, dg_prev=0.0):
@@ -215,10 +226,11 @@ class TestRealtimeBuilder:
         assert solution.status is SolveStatus.OPTIMAL
         total = 0.0
         for k in range(24):
+            label = "0" if k == 0 else f"0,{k}"  # the first hour, then profile 0
             sp_terms = dict(
-                dg=solution.value(f"dg[{k}]"),
-                ch=solution.value(f"ch[{k}]"),
-                dis=solution.value(f"dis[{k}]"))
+                dg=solution.value(f"dg[{label}]"),
+                ch=solution.value(f"ch[{label}]"),
+                dis=solution.value(f"dis[{label}]"))
             from microdispatch.domain import DispatchSetpoint
             sp = DispatchSetpoint(dg_kw=max(0, sp_terms["dg"]),
                                   ess_charge_kw=max(0, sp_terms["ch"]),
@@ -246,26 +258,26 @@ class TestRealtimeBuilder:
             assert sp_p == sp_f
 
     def test_stochastic_with_identical_scenarios_collapses(self):
+        # five identical heads merge into one window of probability 1, which
+        # is the forecast model itself: same names, same arrays
         rng = np.random.default_rng(10)
         day = DayProfile(load_kw=rng.uniform(5000, 9000, 24),
                          pv_kw=np.clip(rng.uniform(-2000, 12000, 24), 0, None))
         for hour in (0, 9, 21):
             soc = 11000.0
-            ctx_f = perfect_context(day, hour=hour, soc=soc)
-            sol_f = solve_milp(build_realtime(ctx_f, TARIFF, CFG, FORECAST))
-            sp_f = extract_setpoint(sol_f, CFG)
-
-            ctx_s = RealTimeContext(
-                state=state_at(hour, soc), start_hour=hour, hours=24 - hour,
-                commitment=Commitment.zero(),
-                scenarios=scenario_set([day] * 5, role="real-time"),
-                measured_load_kw=float(day.load_kw[hour]),
-                measured_pv_kw=float(day.pv_kw[hour]))
-            sol_s = solve_milp(build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC))
-            sp_s = extract_setpoint(sol_s, CFG)
-            assert sp_s.dg_kw == pytest.approx(sp_f.dg_kw, abs=1e-6)
-            assert sp_s.ess_charge_kw == pytest.approx(sp_f.ess_charge_kw, abs=1e-6)
-            assert sp_s.ess_discharge_kw == pytest.approx(sp_f.ess_discharge_kw, abs=1e-6)
+            for dg_prev in (0.0, 6000.0):
+                ctx_f = perfect_context(day, hour=hour, soc=soc, dg_prev=dg_prev)
+                model_f = build_realtime(ctx_f, TARIFF, CFG, FORECAST)
+                ctx_s = RealTimeContext(
+                    state=state_at(hour, soc, dg_prev), start_hour=hour, hours=24 - hour,
+                    commitment=Commitment.zero(),
+                    scenarios=scenario_set([day] * 5, role="real-time"),
+                    measured_load_kw=float(day.load_kw[hour]),
+                    measured_pv_kw=float(day.pv_kw[hour]))
+                model_s = build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC)
+                assert_same_standard_form(model_s, model_f)
+                sp_f = extract_setpoint(solve_milp(model_f), CFG)
+                assert extract_setpoint(solve_milp(model_s), CFG) == sp_f
 
     def test_feasibility_closure_of_day_ahead_commitment(self):
         profiles = [flat_day(7000, 1000), flat_day(5500, 9000), flat_day(6000, 4000)]
@@ -293,6 +305,12 @@ class TestRealtimeBuilder:
 
     def test_int_state_builds_the_float_model(self):
         # an int SOC or generator power is a value, never a variable index
+        scenarios = scenario_set([flat_day(7000, 0), flat_day(5000, 3000)])
+        for soc, dg_prev in ((12500, 0), (9000, 6000)):
+            models = [dump_lp(build_day_ahead(scenarios, TARIFF, cast(soc), CFG,
+                                              dg_prev_kw=cast(dg_prev), dg_on=dg_prev > 0))
+                      for cast in (int, float)]
+            assert models[0] == models[1]
         day = flat_day(7000, 0)
         for soc, dg_prev in ((12500, 0), (9000, 6000)):
             models = []
@@ -313,12 +331,15 @@ class TestRealtimeBuilder:
                             load_kw=np.zeros(0), pv_kw=np.zeros(0))
 
     def test_missing_measurement_rejected(self):
-        ctx = RealTimeContext(
-            state=state_at(0), start_hour=0, hours=24,
-            commitment=Commitment.zero(),
-            scenarios=scenario_set([flat_day(6000, 1000)] * 5, role="real-time"))
-        with pytest.raises(ModelBuildError):
-            build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
+        # no measurement, or a load without its PV
+        for measured in ({}, {"measured_load_kw": 6000.0}):
+            ctx = RealTimeContext(
+                state=state_at(0), start_hour=0, hours=24,
+                commitment=Commitment.zero(),
+                scenarios=scenario_set([flat_day(6000, 1000)] * 5, role="real-time"),
+                **measured)
+            with pytest.raises(ModelBuildError):
+                build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
 
     def test_setpoint_dg_within_capacity_window(self):
         # heavy flat load from an empty battery: a cold DG cannot cover hour
