@@ -22,7 +22,6 @@ from microdispatch.dataio import (
     generate_dataset,
     load_config,
     read_profiles,
-    save_config,
     split_train_test,
     write_profiles,
 )
@@ -65,7 +64,6 @@ from microdispatch.milp import (
     SolveStatus,
     dump_lp,
     parse_lp,
-    solve_lp,
     solve_milp,
 )
 from microdispatch.scenarios import (
@@ -122,9 +120,7 @@ __all__ = [
     "read_profiles",
     "rule_based_decide",
     "run_simulation",
-    "save_config",
     "solve_day_ahead",
-    "solve_lp",
     "solve_milp",
     "split_train_test",
     "step_cost",

@@ -19,6 +19,8 @@ from microdispatch.controllers import (
     MPC_FORECAST,
     MPC_PERFECT,
     MPC_STOCHASTIC,
+    PLANNING_CONTRACT_END,
+    PLANNING_MEASURED,
     RULE_BASED,
     MpcController,
     RuleBasedController,
@@ -91,18 +93,16 @@ def _load_setup(args):
     return config, tariff
 
 
-def _planning_soc(args):
-    raw = getattr(args, "planning_soc", "contract-end")
-    if raw in ("contract-end", "measured"):
+def _planning_soc(raw: str):
+    """The `--planning-soc` value: a named policy or a SOC in kWh."""
+    if raw in (PLANNING_CONTRACT_END, PLANNING_MEASURED):
         return raw
-    return float(raw)
-
-
-def _training_slice(days, months):
-    if len(days) == 365:
-        return trailing_train_months(days, months)
-    train, _ = split_train_test(days, train_months=months)
-    return train
+    try:
+        return float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected {PLANNING_CONTRACT_END}, {PLANNING_MEASURED} or a number, "
+            f"got {raw!r}") from None
 
 
 def _build_controller(kind, train, config, args):
@@ -138,7 +138,7 @@ def cmd_generate(args) -> int:
 def cmd_day_ahead(args) -> int:
     config, tariff = _load_setup(args)
     days = read_profiles(args.data)
-    train = _training_slice(days, args.train_months)
+    train = trailing_train_months(days, args.train_months)
     scenarios = build_dayahead_scenarios(train)
     soc = config.ess_energy_end if args.soc is None else args.soc
     commitment, solution = solve_day_ahead(scenarios, tariff, soc, config)
@@ -151,7 +151,7 @@ def cmd_day_ahead(args) -> int:
 def cmd_train_drl(args) -> int:
     config, tariff = _load_setup(args)
     days = read_profiles(args.data)
-    train = _training_slice(days, args.train_months)
+    train = trailing_train_months(days, args.train_months)
     scenarios = build_dayahead_scenarios(train)
     commitment, _ = solve_day_ahead(scenarios, tariff, config.ess_energy_end, config)
     environment = TrainingEnvironment(train, tariff, config, commitment)
@@ -178,14 +178,14 @@ def _run_controllers(args, kinds):
     the trailing `--train-months` of it, as `day-ahead` and `train-drl` are."""
     config, tariff = _load_setup(args)
     days = read_profiles(args.data)
-    train = _training_slice(days, args.train_months)
+    train = trailing_train_months(days, args.train_months)
     _, test = split_train_test(days)
     if args.days is not None:
         test = test[:args.days]
     options = SimulationOptions(
         initial_soc_kwh=args.initial_soc,
         reset_soc_kwh=args.reset_soc,
-        planning_soc=_planning_soc(args))
+        planning_soc=args.planning_soc)
     controllers = {kind: _build_controller(kind, train, config, args) for kind in kinds}
     reports, failures = compare_controllers(controllers, test, tariff, config,
                                             build_dayahead_scenarios(train), options)
@@ -278,7 +278,7 @@ def build_parser() -> _Parser:
         p.add_argument("--reset-soc", type=float, default=None,
                        help="force the battery to this SOC at each midnight")
         p.add_argument("--initial-soc", type=float, default=12500.0)
-        p.add_argument("--planning-soc", default=None,
+        p.add_argument("--planning-soc", type=_planning_soc, default=None,
                        help="day-ahead start SOC: contract-end, measured, or kWh")
 
     p = sub.add_parser("generate", help="write a synthetic profiles CSV")

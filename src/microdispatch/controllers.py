@@ -251,7 +251,6 @@ class SimulationOptions:
     initial_soc_kwh: float = 12500.0
     reset_soc_kwh: float | None = None
     planning_soc: str | float = PLANNING_CONTRACT_END
-    initial_dg_kw: float = 0.0
 
 
 def _planning_soc_value(policy, state: MicrogridState, config: MicrogridConfig) -> float:
@@ -284,8 +283,7 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
 
     state = MicrogridState(
         hour_of_day=0, soc_kwh=options.initial_soc_kwh,
-        soc_midnight_kwh=options.initial_soc_kwh,
-        dg_prev_kw=options.initial_dg_kw, dg_on=options.initial_dg_kw > 0)
+        soc_midnight_kwh=options.initial_soc_kwh)
     commitment = None
 
     for day_index, day in enumerate(days):

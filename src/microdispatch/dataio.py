@@ -13,7 +13,9 @@ Interchange formats:
   mirroring the dataclass field names;
 * report JSON: the dict produced by `report_to_dict` (ledger rows keyed by
   day/hour plus the aggregate block);
-* commitment JSON: four 24-value schedules plus the per-hour buy flag.
+* commitment JSON: four 24-value schedules plus the per-hour buy flag. It is
+  an output for inspection: `day-ahead` and `compare` write it, and no
+  command reads it back.
 """
 
 from __future__ import annotations
@@ -104,26 +106,27 @@ def generate_dataset(params: SyntheticParams) -> list[DayProfile]:
     return days
 
 
-def split_train_test(days, train_months: int = 11):
-    """Calendar split of a 365-day year: first `train_months` months train.
+def _month_cut(n_days: int, months: int) -> int:
+    """Days in the first `months` months: calendar months of a 365-day year,
+    twelfths (rounded to whole days) of any other length."""
+    if n_days == 365:
+        return sum(MONTH_LENGTHS[:months])
+    return round(n_days * months / 12)
 
-    Shorter datasets split proportionally by whole days.
-    """
-    if len(days) == 365:
-        cut = sum(MONTH_LENGTHS[:train_months])
-    else:
-        cut = max(1, min(len(days) - 1, round(len(days) * train_months / 12)))
+
+def split_train_test(days):
+    """The first 11 months train, the rest tests; each side keeps a day."""
+    cut = max(1, min(len(days) - 1, _month_cut(len(days), 11)))
     return list(days[:cut]), list(days[cut:])
 
 
 def trailing_train_months(days, months: int):
-    """The last `months` months of the 11-month training span (365-day year)."""
-    if len(days) != 365:
-        raise ValueError("month arithmetic needs a full 365-day year")
+    """The last `months` months of `split_train_test`'s training span, and at
+    least its last day."""
     if not (1 <= months <= 11):
         raise ValueError("months must be in 1..11")
-    end = sum(MONTH_LENGTHS[:11])
-    start = sum(MONTH_LENGTHS[:11 - months])
+    end = len(split_train_test(days)[0])
+    start = min(_month_cut(len(days), 11 - months), end - 1)
     return list(days[start:end])
 
 
@@ -190,13 +193,6 @@ def read_profiles(path) -> list[DayProfile]:
 # config JSON
 
 
-def save_config(config: MicrogridConfig, tariff: TariffSchedule, path) -> None:
-    payload = {"microgrid": dataclasses.asdict(config),
-               "tariff": {"hourly_price": list(tariff.hourly_price)}}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
 def load_config(path) -> tuple[MicrogridConfig, TariffSchedule]:
     with open(path) as fh:
         payload = json.load(fh)
@@ -221,37 +217,16 @@ def load_config(path) -> tuple[MicrogridConfig, TariffSchedule]:
 # commitment JSON
 
 
-def commitment_to_dict(commitment: Commitment) -> dict:
-    return {
+def save_commitment(commitment: Commitment, path) -> None:
+    payload = {
         "grid_buy_kw": commitment.grid_buy_kw.tolist(),
         "grid_sell_kw": commitment.grid_sell_kw.tolist(),
         "reserve_down_kw": commitment.reserve_down_kw.tolist(),
         "reserve_up_kw": commitment.reserve_up_kw.tolist(),
         "buying": [bool(b) for b in commitment.buying],
     }
-
-
-def commitment_from_dict(payload: dict) -> Commitment:
-    try:
-        return Commitment(
-            grid_buy_kw=np.array(payload["grid_buy_kw"], dtype=float),
-            grid_sell_kw=np.array(payload["grid_sell_kw"], dtype=float),
-            reserve_down_kw=np.array(payload["reserve_down_kw"], dtype=float),
-            reserve_up_kw=np.array(payload["reserve_up_kw"], dtype=float),
-            buying=np.array(payload["buying"], dtype=bool),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DataFormatError(f"commitment payload invalid: {exc}") from exc
-
-
-def save_commitment(commitment: Commitment, path) -> None:
     with open(path, "w") as fh:
-        json.dump(commitment_to_dict(commitment), fh)
-
-
-def load_commitment(path) -> Commitment:
-    with open(path) as fh:
-        return commitment_from_dict(json.load(fh))
+        json.dump(payload, fh)
 
 
 # ---------------------------------------------------------------------------

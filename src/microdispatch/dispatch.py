@@ -195,24 +195,17 @@ def _carried(v: dict) -> dict:
 
 
 def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
-                    initial_soc_kwh: float, config: MicrogridConfig,
-                    *, dg_prev_kw: float = 0.0, dg_on: bool = False) -> LinearProgram:
-    """Commitment program: shared schedule, per-scenario recourse copies."""
-    T = config.horizon_hours
+                    initial_soc_kwh: float, config: MicrogridConfig) -> LinearProgram:
+    """Commitment program: shared schedule, per-scenario recourse copies.
+
+    Every day is planned from midnight with the generator off.
+    """
     if not (config.ess_energy_min <= initial_soc_kwh <= config.ess_energy_max):
         raise ModelBuildError(f"initial SOC {initial_soc_kwh} outside the ESS bounds")
-    # the boundary rule of MicrogridState
-    if dg_on and dg_prev_kw <= 0:
-        raise ModelBuildError(f"dg_on requires a positive dg_prev_kw, got {dg_prev_kw}")
-    if not dg_on and dg_prev_kw != 0.0:
-        raise ModelBuildError(f"dg_prev_kw must be 0 while dg_on is False, got {dg_prev_kw}")
-    for profile in scenarios.profiles:
-        if len(profile.load_kw) != T:
-            raise ModelBuildError("scenario length must equal the horizon")
 
     lp = LinearProgram()
     schedule = []  # per hour: the grid exchange and the two reserves
-    for t in range(T):
+    for t in range(HOURS_PER_DAY):
         gb = lp.add_var(f"gb[{t}]", 0.0, config.grid_power_cap)
         gs = lp.add_var(f"gs[{t}]", 0.0, config.grid_power_cap)
         rd = lp.add_var(f"rd[{t}]", 0.0, config.ess_power_cap)
@@ -230,8 +223,7 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
         lp.add_row([(rc, 1.0), (ug, -config.ess_power_cap)], "<=", 0.0)
         schedule.append((([(gb, 1.0), (gs, -1.0)], 0.0), _var(rd), _var(rc)))
 
-    boundary = {"soc": _const(initial_soc_kwh), "udg": _const(dg_on),
-                "dg": _const(dg_prev_kw)}
+    boundary = {"soc": _const(initial_soc_kwh), "udg": _ZERO, "dg": _ZERO}
     for s, (profile, prob) in enumerate(zip(scenarios.profiles,
                                             scenarios.probabilities.tolist())):
         net_load = (profile.load_kw - profile.pv_kw).tolist()

@@ -23,7 +23,6 @@ VALIDATION_TOL = 1e-6
 class MicrogridConfig:
     """Physical and economic parameters of the microgrid."""
 
-    horizon_hours: int = 24
     grid_power_cap: float = 5000.0          # kW, max import/export
     ess_energy_max: float = 25000.0         # kWh
     ess_energy_min: float = 2500.0          # kWh
@@ -66,8 +65,6 @@ class MicrogridConfig:
             raise ValueError("forecast_theta must be in [0, 1]")
         if not (0.0 < self.forecast_kappa <= 1.0):
             raise ValueError("forecast_kappa must be in (0, 1]")
-        if self.horizon_hours <= 0:
-            raise ValueError("horizon_hours must be positive")
         if self.drl_action_count < 2:
             raise ValueError("drl_action_count must be at least 2")
 

@@ -270,14 +270,18 @@ class DqnPolicy:
             payload = json.load(fh)
         if payload.get("format_version") != WEIGHT_FORMAT_VERSION:
             raise ValueError(f"unsupported weight format {payload.get('format_version')}")
-        weights = [np.array(w, dtype=float) for w in payload["weights"]]
-        biases = [np.array(b, dtype=float) for b in payload["biases"]]
+        try:
+            weights = [np.array(w, dtype=float) for w in payload["weights"]]
+            biases = [np.array(b, dtype=float) for b in payload["biases"]]
+            layer_sizes = payload["layer_sizes"]
+            norm = Normalization(**payload["normalization"])
+            fingerprint = payload["config_fingerprint"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
         network = MlpNetwork(weights, biases)
-        if network.layer_sizes != payload["layer_sizes"]:
+        if network.layer_sizes != layer_sizes:
             raise ValueError("weight shapes disagree with the declared layer sizes")
-        norm = Normalization(**payload["normalization"])
-        return cls(network=network, normalization=norm,
-                   config_fingerprint=payload["config_fingerprint"])
+        return cls(network=network, normalization=norm, config_fingerprint=fingerprint)
 
 
 class TrainingEnvironment:
@@ -338,12 +342,11 @@ class TrainingEnvironment:
         return step_reward, day_finished
 
 
-def train_agent(environment: TrainingEnvironment, config: DqnConfig,
-                sizes=None) -> tuple[DqnPolicy, list[float]]:
+def train_agent(environment: TrainingEnvironment,
+                config: DqnConfig) -> tuple[DqnPolicy, list[float]]:
     """Run DQN over day-long episodes; returns the policy and reward curve."""
     rng = np.random.default_rng(config.seed)
-    if sizes is None:
-        sizes = [STATE_DIMENSION, *HIDDEN_LAYERS, config.action_count]
+    sizes = [STATE_DIMENSION, *HIDDEN_LAYERS, config.action_count]
     network = MlpNetwork.initialize(sizes, rng)
     target = network.copy()
     replay = ReplayBuffer(config.replay_capacity)

@@ -1,12 +1,11 @@
 """Linear programs and binary MILPs, solved by HiGHS.
 
 The model container is a plain list of finitely-bounded variables, a minimize
-objective, and sparse constraint rows. `solve_lp` solves the relaxation
-(binaries treated as continuous in [0, 1]) with HiGHS's dual simplex through
-scipy's `linprog`; `solve_milp` runs HiGHS's branch-and-cut through scipy's
-`milp` with a zero relative gap, so an optimal result is proven optimal, not
-merely near it. HiGHS is deterministic for a given model, so identical models
-give identical results bit for bit.
+objective, and sparse constraint rows. `solve_milp` runs HiGHS's
+branch-and-cut through scipy's `milp` with a zero relative gap, so an optimal
+result is proven optimal, not merely near it. A model with no binaries is an
+LP, and HiGHS solves it as one through the same call. HiGHS is deterministic
+for a given model, so identical models give identical results bit for bit.
 
 Every optimal result is re-verified against the original rows before it is
 returned; the solver's own bookkeeping is never trusted for feasibility.
@@ -26,13 +25,10 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
 RESIDUAL_TOL = 1e-6      # independent post-solve constraint check
-# HiGHS tolerances, two decades inside the residual check
-_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
-                     "dual_feasibility_tolerance": 1e-9}
 DEFAULT_NODE_LIMIT = 100_000
 # selects no engine: every model goes to HiGHS. The benchmark's trace still
 # labels real-time solves with at most this many binaries as `rt_bnb`.
@@ -179,27 +175,6 @@ class _Standard:
         self.rels = np.array(rels) if m else np.empty(0, dtype="<U2")
         self.rhs = np.array(rhs, dtype=float)
 
-    def inequality_form(self):
-        """(A_ub, b_ub, A_eq, b_eq) for `linprog`, with >= rows negated."""
-        le = self.rels == LE
-        ge = self.rels == GE
-        eq = self.rels == EQ
-        A_ub = b_ub = A_eq = b_eq = None
-        if le.any() or ge.any():
-            parts, rhs_parts = [], []
-            if le.any():
-                parts.append(self.rows[le])
-                rhs_parts.append(self.rhs[le])
-            if ge.any():
-                parts.append(-self.rows[ge])
-                rhs_parts.append(-self.rhs[ge])
-            A_ub = sparse.vstack(parts, format="csr")
-            b_ub = np.concatenate(rhs_parts)
-        if eq.any():
-            A_eq = self.rows[eq]
-            b_eq = self.rhs[eq]
-        return A_ub, b_ub, A_eq, b_eq
-
     def range_form(self):
         """One `LinearConstraint` for `milp`: every row as lower <= Ax <= upper."""
         if not self.m:
@@ -208,7 +183,7 @@ class _Standard:
         row_ub = np.where(self.rels == GE, np.inf, self.rhs)
         return LinearConstraint(self.rows, row_lb, row_ub)
 
-    def verified(self, x: np.ndarray, what: str) -> np.ndarray:
+    def verified(self, x: np.ndarray) -> np.ndarray:
         """`x`, after checking every bound and row, each row scaled by its
         largest coefficient; raises when the worst violation passes
         RESIDUAL_TOL."""
@@ -224,7 +199,7 @@ class _Standard:
             if eq.any():
                 worst = max(worst, float(np.max(np.abs(resid[eq]), initial=0.0)))
         if worst > RESIDUAL_TOL:
-            raise SolverError(f"{what} returned an infeasible point (residual {worst:.3e})")
+            raise SolverError(f"HiGHS returned an infeasible point (residual {worst:.3e})")
         return x
 
 
@@ -232,8 +207,8 @@ class _Standard:
 # solves
 
 
-def _highs(solver, **kwargs):
-    """Call a scipy HiGHS entry point with file descriptor 1 on the null device.
+def _quiet_milp(**kwargs):
+    """Call scipy's `milp` with file descriptor 1 on the null device.
 
     HiGHS prints some MIP progress lines from native code, past every
     option. C stdio buffers are flushed on both sides of the swap, so
@@ -247,37 +222,12 @@ def _highs(solver, **kwargs):
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), 1)
             try:
-                return solver(**kwargs)
+                return scipy_milp(**kwargs)
             finally:
                 _libc.fflush(None)
                 os.dup2(saved, 1)
     finally:
         os.close(saved)
-
-
-def _status(res) -> SolveStatus:
-    return {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
-            3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ITERATION_LIMIT)
-
-
-def solve_lp(model: LinearProgram, *, max_iterations: int | None = None) -> MilpSolution:
-    """Solve the LP relaxation (binaries treated as continuous in [0, 1])."""
-    std = _Standard(model)
-    A_ub, b_ub, A_eq, b_eq = std.inequality_form()
-    options = {"presolve": True, **_HIGHS_TOLERANCES}
-    if max_iterations is not None:
-        options["maxiter"] = max_iterations
-    res = _highs(linprog, c=std.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                 bounds=np.column_stack([std.lb, std.ub]), method="highs-ds",
-                 options=options)
-    iters = int(np.sum(res.nit)) if res.nit is not None else 0
-    status = _status(res)
-    x = obj = None
-    if status is SolveStatus.OPTIMAL:
-        x = std.verified(np.asarray(res.x, dtype=float), "LP solve")
-        obj = float(std.c @ x + std.offset)
-    return MilpSolution(status=status, objective=obj, values=x,
-                        names=std.names, node_count=0, iterations=iters)
 
 
 def solve_milp(model: LinearProgram, *,
@@ -302,24 +252,27 @@ def solve_milp(model: LinearProgram, *,
     integrality = np.zeros(std.n)
     integrality[std.binaries] = 1
     options = {"mip_rel_gap": 0.0, "node_limit": node_limit, "presolve": True,
-               **_HIGHS_TOLERANCES, "mip_feasibility_tolerance": 1e-9,
+               "primal_feasibility_tolerance": 1e-9,
+               "dual_feasibility_tolerance": 1e-9,
+               "mip_feasibility_tolerance": 1e-9,
                "mip_heuristic_run_feasibility_jump": False}
     with warnings.catch_warnings():
         # scipy forwards the HiGHS tolerance and heuristic options verbatim
         # but warns; that pass-through is exactly what we want
         warnings.filterwarnings("ignore", message="Unrecognized options",
                                 category=RuntimeWarning)
-        res = _highs(scipy_milp, c=std.c, constraints=std.range_form(),
-                     integrality=integrality, bounds=Bounds(std.lb, std.ub),
-                     options=options)
+        res = _quiet_milp(c=std.c, constraints=std.range_form(),
+                          integrality=integrality, bounds=Bounds(std.lb, std.ub),
+                          options=options)
     nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    status = _status(res)
+    status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
+              3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ITERATION_LIMIT)
     x = obj = None
     if status is SolveStatus.OPTIMAL:
         x = np.asarray(res.x, dtype=float)
         x[std.binaries] = np.round(x[std.binaries])
         np.clip(x, std.lb, std.ub, out=x)
-        x = std.verified(x, "MIP solve")
+        x = std.verified(x)
         obj = float(std.c @ x + std.offset)
     return MilpSolution(status=status, objective=obj, values=x,
                         names=std.names, node_count=nodes, iterations=0)

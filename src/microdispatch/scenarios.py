@@ -149,9 +149,3 @@ def build_realtime_scenarios(load_model: ClusterModel,
     probs = np.full(REAL_TIME_SCENARIOS, 1.0 / REAL_TIME_SCENARIOS)
     return ScenarioSet(profiles=profiles, probabilities=probs, role="real-time")
 
-
-def recompute_inertia(model: ClusterModel, days) -> float:
-    """Sum of squared distances of each day to its assigned head."""
-    points = np.asarray([np.asarray(d, dtype=float) for d in days])
-    return float(((points - model.heads[model.assignments]) ** 2).sum())
-

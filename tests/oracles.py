@@ -1,14 +1,15 @@
 """Independent brute-force oracles and random instance generators for the
-solver tests. Nothing here shares search logic with the solver under test:
-LPs are checked by enumerating every basic point, MILPs by enumerating every
-binary assignment."""
+solver tests. Nothing here shares code with `milp.py` beyond the model
+container: LPs are checked by enumerating every basic point, MILPs by
+enumerating every binary assignment and solving the LP left by each with
+scipy's `linprog` on the dense rows."""
 
-import copy
 from itertools import combinations, product
 
 import numpy as np
+from scipy.optimize import linprog
 
-from microdispatch.milp import LinearProgram, SolveStatus, solve_lp
+from microdispatch.milp import LinearProgram
 
 
 def dense_rows(model):
@@ -80,16 +81,34 @@ def vertex_enumeration_minimum(model):
 
 
 def binary_enumeration_minimum(model):
-    """Brute-force MILP oracle: every binary assignment, then an LP cleanup."""
+    """Brute-force MILP oracle: every binary assignment, then an LP cleanup.
+
+    Returns the best objective, or None if no assignment is feasible.
+    """
+    A, rels, rhs = dense_rows(model)
+    rels = np.array(rels, dtype=object)
+    # linprog takes A_ub @ x <= b_ub, so >= rows are negated
+    sign = np.where(rels == ">=", -1.0, 1.0)
+    ineq = rels != "="
+    rows = {"A_ub": sign[ineq, None] * A[ineq], "b_ub": sign[ineq] * rhs[ineq],
+            "A_eq": A[~ineq], "b_eq": rhs[~ineq]}
+    rows = {key: value for key, value in rows.items() if len(value)}
+    c = np.zeros(model.num_vars)
+    for idx, coef in model.objective.items():
+        c[idx] = coef
     bins = [i for i, b in enumerate(model.is_binary) if b]
     best = None
-    for bits in product((0, 1), repeat=len(bins)):
-        sub = copy.deepcopy(model)
+    for bits in product((0.0, 1.0), repeat=len(bins)):
+        bounds = list(zip(model.lower, model.upper))
         for idx, bit in zip(bins, bits):
-            sub.lower[idx] = sub.upper[idx] = float(bit)
-        sol = solve_lp(sub)
-        if sol.status is SolveStatus.OPTIMAL and (best is None or sol.objective < best):
-            best = sol.objective
+            bounds[idx] = (bit, bit)
+        res = linprog(c, bounds=bounds, method="highs", **rows,
+                      options={"primal_feasibility_tolerance": 1e-9,
+                               "dual_feasibility_tolerance": 1e-9})
+        if res.status == 0:
+            objective = float(res.fun) + model.objective_offset
+            if best is None or objective < best:
+                best = objective
     return best
 
 

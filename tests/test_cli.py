@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -140,6 +139,23 @@ class TestSimulateCompareValidate:
     def test_drl_without_weights_fails(self, small_year, tmp_path):
         assert run(["simulate", "--data", str(small_year),
                     "--controller", "drl", "--days", "1"]) == 2
+
+    def test_malformed_weight_file_names_the_missing_key(self, small_year, tmp_path,
+                                                         capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"format_version": 1, "layer_sizes": [6, 2]}))
+        assert run(["simulate", "--data", str(small_year), "--controller", "drl",
+                    "--weights", str(weights), "--days", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(weights) in err and "'weights'" in err
+
+    def test_bad_planning_soc_is_usage_error(self, small_year, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["simulate", "--data", str(small_year), "--controller", "rule-based",
+                 "--planning-soc", "foo"])
+        assert exc_info.value.code == 1
+        assert "--planning-soc" in capsys.readouterr().err
 
     def test_validate_clean_controllers(self, small_year):
         assert run(["validate", "--data", str(small_year),

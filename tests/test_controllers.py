@@ -187,8 +187,7 @@ class TestRunSimulation:
 
     def test_int_state_options_cost_the_same(self, pipeline, perfect_reset):
         report, cache = perfect_reset
-        options = SimulationOptions(initial_soc_kwh=12500, reset_soc_kwh=12500,
-                                    initial_dg_kw=0)
+        options = SimulationOptions(initial_soc_kwh=12500, reset_soc_kwh=12500)
         again = run_simulation(MpcController(PERFECT), pipeline["test"][:2], TARIFF, CFG,
                                pipeline["scen_d"], options, commitment_cache=cache)
         assert np.array_equal(again.step_costs, report.step_costs)
@@ -254,7 +253,7 @@ class TestModeEquivalences:
                 from microdispatch.dispatch import RealTimeContext, build_realtime, extract_setpoint
                 from microdispatch.milp import solve_milp
                 from microdispatch.scenarios import ScenarioSet
-                from microdispatch.domain import DayProfile, HOURS_PER_DAY
+                from microdispatch.domain import DayProfile
                 h = state.hour_of_day
                 self.fc = self.fc.observe(h, float(day.load_kw[h]), float(day.pv_kw[h]))
                 load_fc, pv_fc = self.fc.forecast_profile(h, 24 - h)

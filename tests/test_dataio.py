@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,19 +7,15 @@ import pytest
 from microdispatch.dataio import (
     DataFormatError,
     SyntheticParams,
-    commitment_from_dict,
-    commitment_to_dict,
     generate_dataset,
-    load_commitment,
     load_config,
     read_profiles,
     save_commitment,
-    save_config,
     split_train_test,
     trailing_train_months,
     write_profiles,
 )
-from microdispatch.domain import Commitment, DayProfile, MicrogridConfig, TariffSchedule
+from microdispatch.domain import Commitment, MicrogridConfig, TariffSchedule
 
 
 class TestGenerator:
@@ -72,8 +69,13 @@ class TestSplits:
         assert len(november) == 30
         all_train = trailing_train_months(days, 11)
         assert len(all_train) == 334
+        # other lengths count twelfths and end where the test window starts
+        short = list(range(60))
+        assert trailing_train_months(short, 1) == list(range(50, 55))
+        assert trailing_train_months(short, 11) == list(range(55))
+        assert split_train_test(short)[1] == list(range(55, 60))
         with pytest.raises(ValueError):
-            trailing_train_months(days[:100], 2)
+            trailing_train_months(short, 0)
 
 
 class TestProfilesCsv:
@@ -121,20 +123,24 @@ class TestProfilesCsv:
             read_profiles(path)
 
 
+def config_payload(config=MicrogridConfig(), tariff=TariffSchedule()):
+    return {"microgrid": dataclasses.asdict(config),
+            "tariff": {"hourly_price": list(tariff.hourly_price)}}
+
+
 class TestConfigJson:
     def test_round_trip(self, tmp_path):
         config = MicrogridConfig(forecast_theta=0.9, dg_unit_cost=0.7)
         tariff = TariffSchedule()
         path = tmp_path / "config.json"
-        save_config(config, tariff, path)
+        path.write_text(json.dumps(config_payload(config, tariff)))
         config2, tariff2 = load_config(path)
         assert config2 == config
         assert tariff2.hourly_price == tariff.hourly_price
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "config.json"
-        save_config(MicrogridConfig(), TariffSchedule(), path)
-        payload = json.loads(path.read_text())
+        payload = config_payload()
         payload["microgrid"]["mystery_knob"] = 1
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="mystery_knob"):
@@ -142,8 +148,7 @@ class TestConfigJson:
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "config.json"
-        save_config(MicrogridConfig(), TariffSchedule(), path)
-        payload = json.loads(path.read_text())
+        payload = config_payload()
         payload["microgrid"]["eta_charge"] = 1.5
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError):
@@ -162,13 +167,7 @@ class TestCommitmentJson:
             buying=buying)
         path = tmp_path / "commitment.json"
         save_commitment(commitment, path)
-        back = load_commitment(path)
-        assert np.array_equal(back.grid_buy_kw, commitment.grid_buy_kw)
-        assert np.array_equal(back.grid_sell_kw, commitment.grid_sell_kw)
-        assert np.array_equal(back.reserve_down_kw, commitment.reserve_down_kw)
-        assert np.array_equal(back.reserve_up_kw, commitment.reserve_up_kw)
-        assert np.array_equal(back.buying, commitment.buying)
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(DataFormatError):
-            commitment_from_dict({"grid_buy_kw": [1.0] * 23})
+        back = json.loads(path.read_text())
+        for key in ("grid_buy_kw", "grid_sell_kw", "reserve_down_kw", "reserve_up_kw"):
+            assert np.array_equal(back[key], getattr(commitment, key))
+        assert back["buying"] == commitment.buying.tolist()

@@ -21,12 +21,10 @@ from microdispatch.dispatch import (
 )
 from microdispatch.domain import (
     Commitment,
-    CommittedHour,
     DayProfile,
     MicrogridConfig,
     MicrogridState,
     TariffSchedule,
-    step_cost,
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
@@ -141,24 +139,14 @@ class TestDayAheadBuilder:
             extract_commitment(bad, CFG)
 
     def test_scenario_length_checked(self):
-        short = DayProfile(load_kw=np.zeros(24), pv_kw=np.zeros(24))
-        cfg = MicrogridConfig(horizon_hours=12)
-        with pytest.raises(ModelBuildError):
-            build_day_ahead(scenario_set([short]), TARIFF, 12500.0, cfg)
+        # the builder plans 24 hours; a scenario is a DayProfile, which
+        # refuses any other length
+        with pytest.raises(ValueError, match="24"):
+            scenario_set([DayProfile(load_kw=np.zeros(12), pv_kw=np.zeros(12))])
 
     def test_bad_initial_soc_rejected(self):
         with pytest.raises(ModelBuildError):
             build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 100.0, CFG)
-
-    def test_power_with_generator_off_rejected(self):
-        with pytest.raises(ModelBuildError, match="dg_prev_kw.*dg_on"):
-            build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 12500.0, CFG,
-                            dg_prev_kw=500.0, dg_on=False)
-
-    def test_generator_on_without_power_rejected(self):
-        with pytest.raises(ModelBuildError, match="dg_on.*dg_prev_kw"):
-            build_day_ahead(scenario_set([flat_day(0, 0)]), TARIFF, 12500.0, CFG,
-                            dg_prev_kw=0.0, dg_on=True)
 
     def test_commitment_exclusivity_from_any_optimal_solution(self):
         scenarios = scenario_set([flat_day(7000, 1000), flat_day(5500, 9000),
@@ -306,9 +294,8 @@ class TestRealtimeBuilder:
     def test_int_state_builds_the_float_model(self):
         # an int SOC or generator power is a value, never a variable index
         scenarios = scenario_set([flat_day(7000, 0), flat_day(5000, 3000)])
-        for soc, dg_prev in ((12500, 0), (9000, 6000)):
-            models = [dump_lp(build_day_ahead(scenarios, TARIFF, cast(soc), CFG,
-                                              dg_prev_kw=cast(dg_prev), dg_on=dg_prev > 0))
+        for soc in (12500, 9000):
+            models = [dump_lp(build_day_ahead(scenarios, TARIFF, cast(soc), CFG))
                       for cast in (int, float)]
             assert models[0] == models[1]
         day = flat_day(7000, 0)

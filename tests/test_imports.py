@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used there."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import microdispatch
 PACKAGE = pathlib.Path(microdispatch.__file__).parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +30,7 @@ def test_the_checker_flags_an_unused_import():
     assert unused_imports(source) == ["json", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -21,7 +21,6 @@ from microdispatch.milp import (
     SolveStatus,
     dump_lp,
     parse_lp,
-    solve_lp,
     solve_milp,
 )
 from microdispatch.scenarios import build_dayahead_scenarios
@@ -48,11 +47,13 @@ def late_realtime_windows():
 
 
 class TestSolveLp:
+    """Models without binaries: HiGHS solves them as LPs through `solve_milp`."""
+
     def test_bound_active_optimum(self):
         model = LinearProgram()
         x = model.add_var("x", 0, 5)
         model.set_objective(x, -1.0)
-        sol = solve_lp(model)
+        sol = solve_milp(model)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(-5.0, abs=1e-9)
         assert sol.value("x") == pytest.approx(5.0, abs=1e-9)
@@ -64,14 +65,14 @@ class TestSolveLp:
         model.set_objective(x, 1.0)
         model.set_objective(y, 1.0)
         model.add_row([(x, 1.0), (y, 1.0)], ">=", 3.0)
-        sol = solve_lp(model)
+        sol = solve_milp(model)
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible_status(self):
         model = LinearProgram()
         x = model.add_var("x", 0, 1)
         model.add_row([(x, 1.0)], ">=", 2.0)
-        assert solve_lp(model).status is SolveStatus.INFEASIBLE
+        assert solve_milp(model).status is SolveStatus.INFEASIBLE
 
     def test_equality_row(self):
         model = LinearProgram()
@@ -79,19 +80,8 @@ class TestSolveLp:
         y = model.add_var("y", -3, 3)
         model.set_objective(x, 1.0)
         model.add_row([(x, 1.0), (y, 2.0)], "=", 1.0)
-        sol = solve_lp(model)
+        sol = solve_milp(model)
         assert sol.objective == pytest.approx(-3.0)
-
-    def test_iteration_limit_status(self):
-        model = LinearProgram()
-        x = model.add_var("x", 0, 10)
-        y = model.add_var("y", 0, 10)
-        model.set_objective(x, 1.0)
-        model.set_objective(y, 1.0)
-        model.add_row([(x, 1.0), (y, 1.0)], ">=", 3.0)
-        model.add_row([(x, 1.0), (y, -1.0)], ">=", -1.0)
-        sol = solve_lp(model, max_iterations=1)
-        assert sol.status is SolveStatus.ITERATION_LIMIT
 
     def test_degenerate_model_terminates(self):
         # many redundant rows through one vertex: a highly degenerate optimum
@@ -103,7 +93,7 @@ class TestSolveLp:
             model.add_row([(j, 1.0) for j in subset], "<=", 4.0)
         for subset in combinations(xs, 3):
             model.add_row([(j, 1.0) for j in subset], "<=", 6.0)
-        sol = solve_lp(model)
+        sol = solve_milp(model)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(-8.0, abs=1e-7)
 
@@ -113,7 +103,7 @@ class TestSolveLp:
         for _ in range(20):
             model = random_lp(rng)
             expect = vertex_enumeration_minimum(model)
-            sol = solve_lp(model)
+            sol = solve_milp(model)
             if expect is None:
                 assert sol.status is not SolveStatus.OPTIMAL
             else:
@@ -204,7 +194,9 @@ class TestSolveMilp:
         rng = np.random.default_rng(5)
         for _ in range(20):
             model = random_milp(rng)
-            relax = solve_lp(model)
+            relaxed_model = copy.deepcopy(model)
+            relaxed_model.is_binary = [False] * model.num_vars
+            relax = solve_milp(relaxed_model)
             full = solve_milp(model)
             if full.status is SolveStatus.OPTIMAL:
                 assert relax.status is SolveStatus.OPTIMAL
@@ -261,4 +253,4 @@ class TestDumpRoundTrip:
         assert back.objective_offset == 12.75
         assert back.rows[0][1] == ">="
         assert back.rows[1][1] == "="
-        assert solve_lp(back).objective == pytest.approx(12.75 + 0.25)
+        assert solve_milp(back).objective == pytest.approx(12.75 + 0.25)

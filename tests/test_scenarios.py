@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from microdispatch.domain import HOURS_PER_DAY, DayProfile
+from microdispatch.domain import DayProfile
 from microdispatch.scenarios import (
-    ClusterModel,
     ScenarioSet,
     build_dayahead_scenarios,
     build_realtime_scenarios,
     kmeans,
-    recompute_inertia,
 )
+
+
+def inertia_of(model, days):
+    """Sum of squared distances of each day to its assigned head."""
+    return float(((np.asarray(days) - model.heads[model.assignments]) ** 2).sum())
 
 
 def day(load, pv):
@@ -55,7 +58,7 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         days = rng.uniform(0, 50, size=(30, 24))
         model = kmeans(days, k=4, seed=7)
-        assert model.inertia == pytest.approx(recompute_inertia(model, days), rel=1e-9)
+        assert model.inertia == pytest.approx(inertia_of(model, days), rel=1e-9)
 
     def test_assignment_optimality(self):
         rng = np.random.default_rng(4)
@@ -73,7 +76,7 @@ class TestKmeans:
         previous = np.inf
         for iterations in range(1, 8):
             model = kmeans(days, k=4, seed=13, max_iterations=iterations)
-            inertia = recompute_inertia(model, days)
+            inertia = inertia_of(model, days)
             assert inertia <= previous + 1e-9
             previous = inertia
 
