@@ -23,7 +23,9 @@ from microdispatch.dispatch import (
     RealTimeContext,
     build_realtime,
     extract_setpoint,
+    shifted_start,
     solve_day_ahead,
+    window_profiles,
 )
 from microdispatch.domain import (
     HOURS_PER_DAY,
@@ -132,6 +134,17 @@ class MpcController:
     also feeds); stochastic mode substitutes the current hour into the
     scenario heads. Infeasible windows are re-solved with an elastic balance
     whose first-hour slack will surface as a plant blackout.
+
+    The controller holds its last optimal, non-elastic window: the plan, the
+    window's (load, pv) profiles, its hour, and the `day` and `commitment`
+    objects it was solved for. At the next hour of the same day and
+    commitment, windows whose data repeat the plan's one hour later start
+    from its binaries (`shifted_start`); any other decision, and every hour
+    0, solves cold, so a reused controller repeats a fresh one. The start
+    changes which of several optimal points HiGHS may return, never the
+    optimal window objective. The plan is held here rather than passed
+    through `decide`, because callers, the benchmark's timing wrapper among
+    them, call `decide` with the five arguments every controller takes.
     """
 
     def __init__(self, mode: str, forecaster: LoadPvForecaster | None = None,
@@ -147,6 +160,7 @@ class MpcController:
             raise ControllerError("forecast mode needs a warmed-up forecaster")
         if mode == STOCHASTIC and scenarios is None:
             raise ControllerError("stochastic mode needs a real-time scenario set")
+        self._plan: tuple | None = None
 
     def decide(self, state, day: DayProfile, commitment: Commitment,
                tariff: TariffSchedule, config: MicrogridConfig) -> DispatchSetpoint:
@@ -174,8 +188,13 @@ class MpcController:
                                   commitment=commitment, scenarios=self.scenarios,
                                   measured_load_kw=load_now, measured_pv_kw=pv_now)
 
-        solution = solve_milp(build_realtime(ctx, tariff, config, self.mode))
-        if solution.status is not SolveStatus.OPTIMAL:
+        windows = window_profiles(ctx, self.mode)
+        model = build_realtime(ctx, tariff, config, self.mode)
+        solution = solve_milp(model, start=self._start(model, windows, h, day, commitment))
+        if solution.status is SolveStatus.OPTIMAL:
+            self._plan = (h, day, commitment, windows, solution)
+        else:
+            self._plan = None
             solution = solve_milp(build_realtime(ctx, tariff, config, self.mode,
                                                  elastic=True))
         if solution.status is not SolveStatus.OPTIMAL:
@@ -183,6 +202,17 @@ class MpcController:
                 f"{self.kind}: window solve failed even with elastic balance "
                 f"({solution.status.value})")
         return extract_setpoint(solution, config)
+
+    def _start(self, model, windows, hour: int, day: DayProfile,
+               commitment: Commitment) -> dict[int, float] | None:
+        """The held plan's binaries as a start for the window at `hour`, when
+        that plan is the previous hour's of the same day and commitment."""
+        if self._plan is None:
+            return None
+        plan_hour, plan_day, plan_commitment, plan_windows, plan = self._plan
+        if hour != plan_hour + 1 or day is not plan_day or commitment is not plan_commitment:
+            return None
+        return shifted_start(model, windows, plan, plan_windows) or None
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
     return lp
 
 
-def _windows(context: RealTimeContext, mode: str) -> list[list]:
+def window_profiles(context: RealTimeContext, mode: str) -> list[list]:
     """The window's (load, pv, probability) profiles.
 
     A deterministic mode has one profile of probability 1. Stochastic mode
@@ -278,7 +278,7 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                    *, elastic: bool = False) -> LinearProgram:
     """Rolling-window model with the committed schedule folded in as data.
 
-    The model carries one recourse copy per window profile (see `_windows`)
+    The model carries one recourse copy per window profile (see `window_profiles`)
     with the seven first-hour decision variables shared, named `dg[0]` etc.;
     later hours of profile `s` are named `dg[s,k]`. A deterministic mode is
     the single-profile case. With `elastic`, the balance rows gain a
@@ -287,7 +287,7 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
     """
     if mode not in (PERFECT, FORECAST, STOCHASTIC):
         raise ModelBuildError(f"unknown mode {mode!r}")
-    windows = _windows(context, mode)
+    windows = window_profiles(context, mode)
     state = context.state
     h0 = context.start_hour
     committed = [context.commitment.hour(h0 + k) for k in range(context.hours)]
@@ -325,6 +325,34 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
             prev = _carried(v)
         lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
+
+
+def shifted_start(model: LinearProgram, windows: list[list], plan: MilpSolution,
+                  plan_windows: list[list]) -> dict[int, float]:
+    """A start for the real-time `model` from the optimal plan of the window
+    one hour earlier: {variable index: value}.
+
+    `windows` and `plan_windows` are the two models' `window_profiles`. Each
+    window is paired by its data with the first earlier window whose data one
+    hour later equal its own from its second hour on; the first hour is the
+    live measurement, which no earlier window holds. The start takes the
+    binaries `udg` and `uess` of the earlier window's hour k+1 as hour k, for
+    every k >= 1. The first hour, which all windows share, is left to the
+    solver, as are the continuous values. A window without a pair gets
+    nothing, as a forecast window does once the forecaster re-scales.
+    """
+    start: dict[int, float] = {}
+    for s, (load, pv, _) in enumerate(windows):
+        paired = next((p for p, (old_load, old_pv, _) in enumerate(plan_windows)
+                       if np.array_equal(load[1:], old_load[2:])
+                       and np.array_equal(pv[1:], old_pv[2:])), None)
+        if paired is None:
+            continue
+        for k in range(1, len(load)):
+            for key in ("udg", "uess"):
+                start[model.index(f"{key}[{s},{k}]")] = plan.value(
+                    f"{key}[{paired},{k + 1}]")
+    return start
 
 
 def extract_commitment(solution: MilpSolution, config: MicrogridConfig) -> Commitment:

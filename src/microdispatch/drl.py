@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -268,16 +268,24 @@ class DqnPolicy:
     def load(cls, path) -> "DqnPolicy":
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: weight file holds a JSON {type(payload).__name__}, "
+                             f"not an object")
         if payload.get("format_version") != WEIGHT_FORMAT_VERSION:
             raise ValueError(f"unsupported weight format {payload.get('format_version')}")
         try:
             weights = [np.array(w, dtype=float) for w in payload["weights"]]
             biases = [np.array(b, dtype=float) for b in payload["biases"]]
             layer_sizes = payload["layer_sizes"]
-            norm = Normalization(**payload["normalization"])
+            norm_fields = payload["normalization"]
             fingerprint = payload["config_fingerprint"]
         except KeyError as exc:
             raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
+        known = {f.name for f in fields(Normalization)}
+        if not isinstance(norm_fields, dict) or not set(norm_fields) <= known:
+            raise ValueError(f"{path}: normalization must be an object with keys among "
+                             f"{sorted(known)}, got {norm_fields!r}")
+        norm = Normalization(**norm_fields)
         network = MlpNetwork(weights, biases)
         if network.layer_sizes != layer_sizes:
             raise ValueError("weight shapes disagree with the declared layer sizes")

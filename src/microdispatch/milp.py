@@ -2,10 +2,11 @@
 
 The model container is a plain list of finitely-bounded variables, a minimize
 objective, and sparse constraint rows. `solve_milp` runs HiGHS's
-branch-and-cut through scipy's `milp` with a zero relative gap, so an optimal
-result is proven optimal, not merely near it. A model with no binaries is an
-LP, and HiGHS solves it as one through the same call. HiGHS is deterministic
-for a given model, so identical models give identical results bit for bit.
+branch-and-cut in one session of the `_Highs` class that scipy bundles, with
+a zero relative gap, so an optimal result is proven optimal, not merely near
+it. A model with no binaries is an LP, and HiGHS solves it as one through the
+same call. HiGHS is deterministic for a given model and start, so identical
+calls give identical results bit for bit.
 
 Every optimal result is re-verified against the original rows before it is
 returned; the solver's own bookkeeping is never trusted for feasibility.
@@ -19,14 +20,13 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as scipy_milp
+from scipy.optimize._highspy import _core as highs_core
 
 RESIDUAL_TOL = 1e-6      # independent post-solve constraint check
 DEFAULT_NODE_LIMIT = 100_000
@@ -41,12 +41,37 @@ _libc = ctypes.CDLL(None)
 _libc.fflush.argtypes = [ctypes.c_void_p]
 _libc.fflush.restype = ctypes.c_int
 
+#: the `_Highs` methods `solve_milp` calls beyond the basic run and getters
+REQUIRED_HIGHS_METHODS = ("passModel", "setSolution", "getInfo")
+
+
+def check_highs_bindings(highs_class) -> None:
+    """Raise ImportError unless `highs_class` has every method in
+    REQUIRED_HIGHS_METHODS; the message names the scipy version."""
+    missing = [name for name in REQUIRED_HIGHS_METHODS if not hasattr(highs_class, name)]
+    if missing:
+        raise ImportError(
+            f"scipy {scipy.__version__} bundles HiGHS bindings without "
+            f"{', '.join(missing)}; microdispatch needs a scipy whose "
+            f"_highspy._Highs has {', '.join(REQUIRED_HIGHS_METHODS)}")
+
+
+check_highs_bindings(highs_core._Highs)
+
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+
+
+#: HiGHS model statuses as `SolveStatus`; every other status (node limit,
+#: "unbounded or infeasible", solver errors) reads as ITERATION_LIMIT
+_STATUS = {highs_core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+           highs_core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+           highs_core.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
+           highs_core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -175,13 +200,14 @@ class _Standard:
         self.rels = np.array(rels) if m else np.empty(0, dtype="<U2")
         self.rhs = np.array(rhs, dtype=float)
 
-    def range_form(self):
-        """One `LinearConstraint` for `milp`: every row as lower <= Ax <= upper."""
-        if not self.m:
-            return []
+    def columns(self):
+        """The row matrix in the CSC arrays HiGHS's `passModel` takes, and
+        each row's lower and upper bound."""
+        matrix = sparse.csc_array(self.rows if self.m else (self.m, self.n))
         row_lb = np.where(self.rels == LE, -np.inf, self.rhs)
         row_ub = np.where(self.rels == GE, np.inf, self.rhs)
-        return LinearConstraint(self.rows, row_lb, row_ub)
+        return (matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32),
+                matrix.data.astype(float), row_lb, row_ub)
 
     def verified(self, x: np.ndarray) -> np.ndarray:
         """`x`, after checking every bound and row, each row scaled by its
@@ -207,8 +233,17 @@ class _Standard:
 # solves
 
 
-def _quiet_milp(**kwargs):
-    """Call scipy's `milp` with file descriptor 1 on the null device.
+#: HiGHS options of every solve; `solve_milp` adds `mip_max_nodes`
+_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
+            "mip_rel_gap": 0.0,
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
+            "mip_feasibility_tolerance": 1e-9,
+            "mip_heuristic_run_feasibility_jump": False}
+
+
+def _quiet_run(highs) -> None:
+    """Run HiGHS with file descriptor 1 on the null device.
 
     HiGHS prints some MIP progress lines from native code, past every
     option. C stdio buffers are flushed on both sides of the swap, so
@@ -222,7 +257,7 @@ def _quiet_milp(**kwargs):
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), 1)
             try:
-                return scipy_milp(**kwargs)
+                highs.run()
             finally:
                 _libc.fflush(None)
                 os.dup2(saved, 1)
@@ -230,16 +265,22 @@ def _quiet_milp(**kwargs):
         os.close(saved)
 
 
-def solve_milp(model: LinearProgram, *,
-               node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
+def solve_milp(model: LinearProgram, *, node_limit: int = DEFAULT_NODE_LIMIT,
+               start: dict[int, float] | None = None) -> MilpSolution:
     """Solve the MILP with HiGHS's branch-and-cut to a proven optimum.
 
     The relative gap is zero and the feasibility tolerances are 1e-9, two
     decades inside the residual check. An optimal point has its binaries
     rounded and its values clipped to their bounds, then every row is
     checked again. A search that hits `node_limit` nodes reports
-    ITERATION_LIMIT. `iterations` is always 0: scipy does not report
-    HiGHS's simplex iterations for a MILP.
+    ITERATION_LIMIT. `node_count` and `iterations` are HiGHS's branch-and-
+    bound nodes and simplex iterations (0 nodes for an LP).
+
+    `start` maps variable indices to values of a known or guessed point,
+    typically some of the binaries. HiGHS completes it and, when it is
+    feasible, starts from it as the incumbent. The proof of optimality is
+    the same, so the optimal objective does not depend on the start; where
+    several points attain it, the one returned may.
 
     HiGHS's feasibility-jump heuristic is off. It only hunts for feasible
     points, so the zero-gap proof of optimality is unchanged, but it runs
@@ -249,33 +290,36 @@ def solve_milp(model: LinearProgram, *,
     (perfect), 4.4 to 1.9 s (forecast) and 18.7 to 13.6 s (stochastic).
     """
     std = _Standard(model)
-    integrality = np.zeros(std.n)
+    highs = highs_core._Highs()
+    for name, value in (*_OPTIONS.items(), ("mip_max_nodes", node_limit)):
+        if highs.setOptionValue(name, value) == highs_core.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejects option {name}={value!r}")
+    indptr, indices, data, row_lb, row_ub = std.columns()
+    integrality = np.zeros(std.n, dtype=np.int32)
     integrality[std.binaries] = 1
-    options = {"mip_rel_gap": 0.0, "node_limit": node_limit, "presolve": True,
-               "primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9,
-               "mip_feasibility_tolerance": 1e-9,
-               "mip_heuristic_run_feasibility_jump": False}
-    with warnings.catch_warnings():
-        # scipy forwards the HiGHS tolerance and heuristic options verbatim
-        # but warns; that pass-through is exactly what we want
-        warnings.filterwarnings("ignore", message="Unrecognized options",
-                                category=RuntimeWarning)
-        res = _quiet_milp(c=std.c, constraints=std.range_form(),
-                          integrality=integrality, bounds=Bounds(std.lb, std.ub),
-                          options=options)
-    nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
-              3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ITERATION_LIMIT)
+    if highs.passModel(std.n, std.m, len(data), int(highs_core.MatrixFormat.kColwise),
+                       int(highs_core.ObjSense.kMinimize), 0.0, std.c, std.lb, std.ub,
+                       row_lb, row_ub, indptr, indices, data,
+                       integrality) == highs_core.HighsStatus.kError:
+        raise SolverError("HiGHS rejects the model")
+    if start and highs.setSolution(
+            len(start), np.fromiter(start, dtype=np.int32, count=len(start)),
+            np.fromiter(start.values(), dtype=float, count=len(start))
+    ) == highs_core.HighsStatus.kError:
+        raise SolverError("HiGHS rejects the start (a variable index out of range)")
+    _quiet_run(highs)
+    info = highs.getInfo()
+    status = _STATUS.get(highs.getModelStatus(), SolveStatus.ITERATION_LIMIT)
     x = obj = None
     if status is SolveStatus.OPTIMAL:
-        x = np.asarray(res.x, dtype=float)
+        x = np.array(highs.getSolution().col_value, dtype=float)
         x[std.binaries] = np.round(x[std.binaries])
         np.clip(x, std.lb, std.ub, out=x)
         x = std.verified(x)
         obj = float(std.c @ x + std.offset)
-    return MilpSolution(status=status, objective=obj, values=x,
-                        names=std.names, node_count=nodes, iterations=0)
+    return MilpSolution(status=status, objective=obj, values=x, names=std.names,
+                        node_count=max(int(info.mip_node_count), 0),
+                        iterations=int(info.simplex_iteration_count))
 
 
 # ---------------------------------------------------------------------------

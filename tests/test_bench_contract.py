@@ -1,0 +1,84 @@
+"""The benchmark's traced run still fits the program.
+
+`perfbench/tracing.py` patches public names and reads positional arguments
+(`build_realtime`'s context and mode, `solve_milp`'s model), and
+`perfbench/workloads.py` calls `decide` with five arguments. A signature
+change that breaks either fails here, not first in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+import microdispatch.controllers as controllers  # noqa: E402
+import microdispatch.dispatch as dispatch  # noqa: E402
+from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test  # noqa: E402
+from microdispatch.domain import MicrogridConfig, MicrogridState, TariffSchedule  # noqa: E402
+from microdispatch.scenarios import (  # noqa: E402
+    build_dayahead_scenarios,
+    build_realtime_scenarios,
+    kmeans,
+)
+
+CFG = MicrogridConfig()
+TARIFF = TariffSchedule()
+
+
+class NoRotation:
+    """Stand-in for the benchmark's CPU rotation: leaves the affinity alone."""
+
+    def step(self):
+        pass
+
+
+@pytest.fixture
+def tracer():
+    tracer = tracing.Tracer()
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+def test_traced_day_ahead_and_stochastic_decisions(tracer):
+    train, test = split_train_test(generate_dataset(SyntheticParams(seed=0, days=60)))
+    realtime = build_realtime_scenarios(kmeans([d.load_kw for d in train], 5, seed=0),
+                                        kmeans([d.pv_kw for d in train], 5, seed=1))
+    commitment, _ = dispatch.solve_day_ahead(build_dayahead_scenarios(train), TARIFF,
+                                             CFG.ess_energy_end, CFG)
+    tracer.phase = "timed"
+    tracer.keep_models = True
+    timed = workloads.TimedController(
+        controllers.MpcController(dispatch.STOCHASTIC, scenarios=realtime), NoRotation())
+    state = MicrogridState(hour_of_day=0, soc_kwh=12500.0, soc_midnight_kwh=12500.0)
+    for hour in range(2):
+        setpoint = timed.decide(state, test[0], commitment, TARIFF, CFG)
+        outcome = controllers.step_plant(state, setpoint, commitment.hour(hour),
+                                         float(test[0].load_kw[hour]),
+                                         float(test[0].pv_kw[hour]), TARIFF.price(hour), CFG)
+        state = controllers.advance_state(state, outcome)
+    tracer.phase = "check"
+
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("milp.day_ahead") == 1
+    assert names.count("controllers.decide") == 2
+    assert names.count("milp.realtime") == 2
+    windows = [span[tracing.ATTRS] for span in tracer.spans
+               if span[tracing.NAME] == "dispatch.build_realtime"]
+    assert [(w["mode"], w["start_hour"], w["elastic"]) for w in windows] == [
+        ("stochastic", 0, False), ("stochastic", 1, False)]
+    solves = [span[tracing.ATTRS] for span in tracer.spans
+              if span[tracing.NAME] == "milp.realtime"]
+    assert all(s["nodes"] >= 1 and s["iterations"] > 0 for s in solves)
+
+    metrics = tracing.layer_metrics(tracer, setups=1, rounds=1, timed_s=1.0,
+                                    cache_lookups=0)
+    assert metrics["milp.day_ahead.nodes"] >= 1
+    assert metrics["dispatch.window0.binaries.stochastic"] > 0
+    assert metrics["controllers.decide_self_ms_p50.mpc-stochastic"] > 0

@@ -150,6 +150,21 @@ class TestSimulateCompareValidate:
         assert err.startswith("error: ")
         assert str(weights) in err and "'weights'" in err
 
+    @pytest.mark.parametrize("payload, says", [
+        ([1, 2, 3], "JSON list"),
+        ({"format_version": 1, "weights": [], "biases": [], "layer_sizes": [],
+          "normalization": {"load_scale": 1.0}, "config_fingerprint": ""}, "load_scale"),
+    ])
+    def test_malformed_weight_file_is_an_error_line(self, small_year, tmp_path, capsys,
+                                                    payload, says):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(payload))
+        assert run(["simulate", "--data", str(small_year), "--controller", "drl",
+                    "--weights", str(weights), "--days", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {weights}: ")
+        assert says in err
+
     def test_bad_planning_soc_is_usage_error(self, small_year, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(["simulate", "--data", str(small_year), "--controller", "rule-based",

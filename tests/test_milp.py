@@ -1,10 +1,12 @@
 import copy
 import ctypes
 import os
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy
 from oracles import (
     binary_enumeration_minimum,
     point_feasible,
@@ -17,8 +19,11 @@ from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_
 from microdispatch.dispatch import PERFECT, RealTimeContext, build_realtime, solve_day_ahead
 from microdispatch.domain import Commitment, MicrogridConfig, MicrogridState, TariffSchedule
 from microdispatch.milp import (
+    REQUIRED_HIGHS_METHODS,
     LinearProgram,
+    SolverError,
     SolveStatus,
+    check_highs_bindings,
     dump_lp,
     parse_lp,
     solve_milp,
@@ -147,6 +152,24 @@ class TestSolveMilp:
         model.add_row([(u, 1.0)], "<=", 0.4)
         assert solve_milp(model).status is SolveStatus.INFEASIBLE
 
+    def test_start_keeps_the_optimum(self):
+        model = LinearProgram()
+        us = [model.add_binary(f"u{j}") for j in range(6)]
+        for j, u in enumerate(us):
+            model.set_objective(u, -(1.0 + 0.1 * j))
+        model.add_row([(u, 1.0) for u in us], "<=", 2.5)
+        cold = solve_milp(model)
+        # a feasible but poor start, and one that breaks the row
+        for start in ({us[0]: 1.0, us[1]: 1.0}, dict.fromkeys(us, 1.0)):
+            warm = solve_milp(model, start=start)
+            assert warm.ok and warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_start_outside_the_model_is_an_error(self):
+        model = LinearProgram()
+        model.set_objective(model.add_binary("u"), 1.0)
+        with pytest.raises(SolverError):
+            solve_milp(model, start={3: 1.0})
+
     def test_node_limit_reports_iteration_limit(self):
         rng = np.random.default_rng(3)
         # a model that genuinely needs branching
@@ -212,6 +235,78 @@ class TestSolveMilp:
             assert a.objective == b.objective
             assert np.array_equal(a.values, b.values)
             assert a.node_count == b.node_count
+
+
+def test_counts_are_highs_nodes_and_simplex_iterations():
+    # a perfect hour-0 window: its LP relaxation takes real simplex work
+    day = generate_dataset(SyntheticParams(seed=5, days=1))[0]
+    state = MicrogridState(hour_of_day=0, soc_kwh=12500.0, soc_midnight_kwh=12500.0)
+    context = RealTimeContext(state=state, start_hour=0, hours=24,
+                              commitment=Commitment.zero(), load_kw=day.load_kw,
+                              pv_kw=day.pv_kw)
+    model = build_realtime(context, TariffSchedule(), MicrogridConfig(), PERFECT)
+    sol = solve_milp(model)
+    assert sol.ok
+    assert sol.iterations > 0
+    # the same model and options through scipy's own wrapper count the same nodes
+    c = np.zeros(model.num_vars)
+    for idx, coef in model.objective.items():
+        c[idx] = coef
+    rows = np.zeros((model.num_rows, model.num_vars))
+    for r, (terms, _, _) in enumerate(model.rows):
+        for idx, coef in terms:
+            rows[r, idx] += coef
+    rels = np.array([rel for _, rel, _ in model.rows])
+    rhs = np.array([b for _, _, b in model.rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference = scipy.optimize.milp(
+            c, integrality=np.array(model.is_binary, dtype=int),
+            bounds=scipy.optimize.Bounds(model.lower, model.upper),
+            constraints=scipy.optimize.LinearConstraint(
+                rows, np.where(rels == "<=", -np.inf, rhs), np.where(rels == ">=", np.inf, rhs)),
+            options={"mip_rel_gap": 0.0, "primal_feasibility_tolerance": 1e-9,
+                     "dual_feasibility_tolerance": 1e-9, "mip_feasibility_tolerance": 1e-9,
+                     "mip_heuristic_run_feasibility_jump": False})
+    assert reference.status == 0
+    assert sol.node_count == reference.mip_node_count >= 1
+    assert sol.objective == pytest.approx(reference.fun + model.objective_offset, rel=1e-9)
+
+
+def test_lp_counts_no_nodes():
+    model = LinearProgram()
+    x = model.add_var("x", 0, 10)
+    y = model.add_var("y", 0, 10)
+    model.set_objective(x, -1.0)
+    model.set_objective(y, -1.0)
+    model.add_row([(x, 1.0), (y, 2.0)], "<=", 12.0)
+    model.add_row([(x, 3.0), (y, 1.0)], "<=", 15.0)
+    sol = solve_milp(model)
+    assert sol.ok and sol.node_count == 0
+
+
+class TestHighsBindings:
+    def test_complete_bindings_pass(self):
+        class Complete:
+            pass
+
+        for name in REQUIRED_HIGHS_METHODS:
+            setattr(Complete, name, lambda self: None)
+        check_highs_bindings(Complete)
+
+    def test_missing_method_names_scipy_version(self):
+        class NoStart:
+            def passModel(self):
+                pass
+
+            def getInfo(self):
+                pass
+
+        with pytest.raises(ImportError) as exc_info:
+            check_highs_bindings(NoStart)
+        message = str(exc_info.value)
+        assert "setSolution" in message and "passModel" in message
+        assert f"scipy {scipy.__version__}" in message
 
 
 def test_day_ahead_solve_prints_nothing(capfd):
