@@ -105,6 +105,21 @@ def _planning_soc(raw: str):
             f"got {raw!r}") from None
 
 
+def _positive_int(raw: str) -> int:
+    """A count of at least 1, such as `--days`."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _controller_kinds(args) -> list[str]:
+    """The comma-separated `--controllers`, which must name at least one."""
+    kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
+    if not kinds:
+        raise DataFormatError("--controllers must name at least one controller")
+    return kinds
+
+
 def _build_controller(kind, train, config, args):
     if kind == RULE_BASED:
         return RuleBasedController()
@@ -211,12 +226,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
-    if not kinds:
-        raise DataFormatError("--controllers must name at least one controller")
     if args.planning_soc is None:
         args.planning_soc = "contract-end"  # one shared commitment for everyone
-    config, tariff, test, reports, failures = _run_controllers(args, kinds)
+    config, tariff, test, reports, failures = _run_controllers(args, _controller_kinds(args))
     os.makedirs(args.out, exist_ok=True)
     if reports:
         _atomic_write(os.path.join(args.out, "summary.csv"),
@@ -241,10 +253,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
     if args.planning_soc is None:
         args.planning_soc = "contract-end"
-    config, tariff, test, reports, failures = _run_controllers(args, kinds)
+    config, tariff, test, reports, failures = _run_controllers(args, _controller_kinds(args))
     bad = bool(failures)
     for kind, message in failures.items():
         print(f"{kind}: FAILED ({message})", file=sys.stderr)
@@ -272,7 +283,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="config JSON (defaults built in)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--train-months", type=int, default=11)
-        p.add_argument("--days", type=int, default=None,
+        p.add_argument("--days", type=_positive_int, default=None,
                        help="limit the test window to this many days")
         p.add_argument("--weights", help="trained DQN weight file")
         p.add_argument("--reset-soc", type=float, default=None,
@@ -282,7 +293,7 @@ def build_parser() -> _Parser:
                        help="day-ahead start SOC: contract-end, measured, or kWh")
 
     p = sub.add_parser("generate", help="write a synthetic profiles CSV")
-    p.add_argument("--days", type=int, default=365)
+    p.add_argument("--days", type=_positive_int, default=365)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_generate)

@@ -5,7 +5,8 @@ grid-exchange and reserve schedule, plus per-scenario recourse copies of all
 plant variables, each obeying the full constraint set. `build_realtime`
 assembles the rolling-window models the MPC controllers solve each hour,
 with the committed schedule folded in as constants (they enter the objective
-as a fixed offset, so solver objectives equal true window costs).
+as a fixed offset, so solver objectives equal true window costs). Its first
+hour is written once, and each scenario's recourse chains from it.
 
 All builders are pure; extraction helpers turn optimal solutions back into
 domain values, rounding at 1e-6 and enforcing the domain invariants exactly.
@@ -104,11 +105,11 @@ def _add_row(lp: LinearProgram, terms: list, rel: str, rhs: float,
     lp.add_row(terms, rel, rhs - coef * expr[1] - coef2 * expr2[1])
 
 
-def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_label: str,
-                    prev: dict, *, reserve_down, reserve_up, net_load: float,
-                    grid=_ZERO, shared: dict | None = None,
-                    elastic: bool = False) -> dict:
-    """Declare one hour's plant variables and constraint rows.
+def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, label: str, prev: dict,
+                    weight: float, *, reserve_down, reserve_up, net_load: float,
+                    grid=_ZERO, elastic: bool = False) -> dict:
+    """Declare one hour's plant variables, named `dg[label]` etc., their
+    costs times `weight`, and the hour's constraint rows.
 
     Everything the hour couples to is a linear expression `(terms,
     constant)` made by `_var` or `_const`: the previous hour's `prev["soc"]`,
@@ -116,8 +117,8 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_labe
     `grid`, which is a pair of variables in the day-ahead program and zero
     otherwise (the committed values are then folded into `net_load`). So a
     value is a constant and a variable is an index whatever its Python type.
-    When `shared` is given, its variables are reused instead of declaring
-    new ones (stochastic first hour). Returns the hour's variable indices.
+    With `elastic`, the balance row gains a penalized shortfall variable.
+    Returns the hour's variable indices.
 
     The status `udg` and the ESS mode `uess` are binary; `start` and `stop`
     are continuous in [0, 1], as in tight-and-compact unit commitment, and
@@ -134,21 +135,22 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, tag: str, hour_labe
     and every other variable has the same feasible set as with binary
     `start`/`stop`.
     """
-    if shared is None:
-        v = {
-            "dg": lp.add_var(f"dg[{hour_label}]", 0.0, cfg.dg_power_max),
-            "ch": lp.add_var(f"ch[{hour_label}]", 0.0, cfg.ess_power_cap),
-            "dis": lp.add_var(f"dis[{hour_label}]", 0.0, cfg.ess_power_cap),
-            "uess": lp.add_binary(f"uess[{hour_label}]"),
-            "udg": lp.add_binary(f"udg[{hour_label}]"),
-            "start": lp.add_var(f"start[{hour_label}]", 0.0, 1.0),
-            "stop": lp.add_var(f"stop[{hour_label}]", 0.0, 1.0),
-        }
-        if elastic:
-            v["slack"] = lp.add_var(f"slack[{hour_label}]", 0.0, ELASTIC_SLACK_CAP)
-    else:
-        v = dict(shared)
-    v["soc"] = lp.add_var(f"soc[{tag}{hour_label}]", cfg.ess_energy_min, cfg.ess_energy_max)
+    v = {
+        "dg": lp.add_var(f"dg[{label}]", 0.0, cfg.dg_power_max),
+        "ch": lp.add_var(f"ch[{label}]", 0.0, cfg.ess_power_cap),
+        "dis": lp.add_var(f"dis[{label}]", 0.0, cfg.ess_power_cap),
+        "uess": lp.add_binary(f"uess[{label}]"),
+        "udg": lp.add_binary(f"udg[{label}]"),
+        "start": lp.add_var(f"start[{label}]", 0.0, 1.0),
+        "stop": lp.add_var(f"stop[{label}]", 0.0, 1.0),
+    }
+    if elastic:
+        v["slack"] = lp.add_var(f"slack[{label}]", 0.0, ELASTIC_SLACK_CAP)
+        lp.set_objective(v["slack"], weight * ELASTIC_PENALTY_FACTOR * cfg.dg_unit_cost)
+    v["soc"] = lp.add_var(f"soc[{label}]", cfg.ess_energy_min, cfg.ess_energy_max)
+    lp.set_objective(v["dg"], weight * cfg.dg_unit_cost)
+    lp.set_objective(v["ch"], weight * cfg.ess_unit_cost)
+    lp.set_objective(v["dis"], weight * cfg.ess_unit_cost)
 
     dg, ch, dis = v["dg"], v["ch"], v["dis"]
     uess, udg, start, stop = v["uess"], v["udg"], v["start"], v["stop"]
@@ -230,12 +232,9 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
         prev = boundary
         for t, (grid, reserve_down, reserve_up) in enumerate(schedule):
             v = _add_hour_block(
-                lp, config, tag=f"{s},", hour_label=f"{s},{t}", prev=prev,
+                lp, config, f"{s},{t}", prev, prob,
                 reserve_down=reserve_down, reserve_up=reserve_up,
                 net_load=net_load[t], grid=grid)
-            lp.set_objective(v["dg"], prob * config.dg_unit_cost)
-            lp.set_objective(v["ch"], prob * config.ess_unit_cost)
-            lp.set_objective(v["dis"], prob * config.ess_unit_cost)
             prev = _carried(v)
         lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
@@ -278,12 +277,13 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                    *, elastic: bool = False) -> LinearProgram:
     """Rolling-window model with the committed schedule folded in as data.
 
-    The model carries one recourse copy per window profile (see `window_profiles`)
-    with the seven first-hour decision variables shared, named `dg[0]` etc.;
-    later hours of profile `s` are named `dg[s,k]`. A deterministic mode is
-    the single-profile case. With `elastic`, the balance rows gain a
-    penalized shortfall variable so an unreachable commitment produces a
-    plan instead of an infeasibility.
+    The first hour is written once from the live measurement, with its
+    variables named `dg[0]` ... `soc[0]`. Each window profile (see
+    `window_profiles`) then chains its own recourse from it, weighted by its
+    probability: hours k >= 1 of profile `s` are named `dg[s,k]`. A
+    deterministic mode is the single-profile case. With `elastic`, the
+    balance rows gain a penalized shortfall variable so an unreachable
+    commitment produces a plan instead of an infeasibility.
     """
     if mode not in (PERFECT, FORECAST, STOCHASTIC):
         raise ModelBuildError(f"unknown mode {mode!r}")
@@ -299,30 +299,23 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                    - config.reserve_revenue * (ch.reserve_down_kw + ch.reserve_up_kw))
     lp.objective_offset = offset
 
+    def hour(label, prev, weight, load, pv, k):
+        ch = committed[k]
+        return _add_hour_block(
+            lp, config, label, prev, weight,
+            reserve_down=_const(ch.reserve_down_kw),
+            reserve_up=_const(ch.reserve_up_kw),
+            net_load=float(load[k] - pv[k] - ch.grid_buy_kw + ch.grid_sell_kw),
+            elastic=elastic)
+
     boundary = {"soc": _const(state.soc_kwh), "udg": _const(state.dg_on),
                 "dg": _const(state.dg_prev_kw)}
-    first: dict | None = None
+    # every window holds the same live measurement in slot 0
+    first = hour("0", boundary, 1.0, windows[0][0], windows[0][1], 0)
     for s, (load, pv, prob) in enumerate(windows):
-        prev = boundary
-        for k, ch in enumerate(committed):
-            v = _add_hour_block(
-                lp, config, tag=f"{s},", hour_label="0" if k == 0 else f"{s},{k}",
-                prev=prev,
-                reserve_down=_const(ch.reserve_down_kw),
-                reserve_up=_const(ch.reserve_up_kw),
-                net_load=float(load[k] - pv[k] - ch.grid_buy_kw + ch.grid_sell_kw),
-                shared=first if k == 0 else None, elastic=elastic)
-            # objective coefficients accumulate, so per-scenario weights on the
-            # shared first-hour variables sum back to an unweighted hour
-            lp.set_objective(v["dg"], prob * config.dg_unit_cost)
-            lp.set_objective(v["ch"], prob * config.ess_unit_cost)
-            lp.set_objective(v["dis"], prob * config.ess_unit_cost)
-            if elastic:
-                lp.set_objective(v["slack"],
-                                 prob * ELASTIC_PENALTY_FACTOR * config.dg_unit_cost)
-            if first is None:
-                first = {key: idx for key, idx in v.items() if key != "soc"}
-            prev = _carried(v)
+        v = first
+        for k in range(1, context.hours):
+            v = hour(f"{s},{k}", _carried(v), prob, load, pv, k)
         lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
 

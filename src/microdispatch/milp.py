@@ -183,27 +183,21 @@ class _Standard:
         self.offset = model.objective_offset
 
         rows_i, cols_i, data = [], [], []
-        rels, rhs = [], []
-        for r, (terms, rel, b) in enumerate(model.rows):
-            merged: dict[int, float] = {}
+        for r, (terms, _, _) in enumerate(model.rows):
             for idx, coef in terms:
-                merged[idx] = merged.get(idx, 0.0) + coef
-            for idx, coef in merged.items():
-                if coef:
-                    rows_i.append(r)
-                    cols_i.append(idx)
-                    data.append(coef)
-            rels.append(rel)
-            rhs.append(b)
-        self.rows = sparse.csr_array(
-            (data, (rows_i, cols_i)), shape=(m, n)) if m else None
-        self.rels = np.array(rels) if m else np.empty(0, dtype="<U2")
-        self.rhs = np.array(rhs, dtype=float)
+                rows_i.append(r)
+                cols_i.append(idx)
+                data.append(coef)
+        # the constructor sums repeated (row, variable) terms
+        self.rows = sparse.csr_array((data, (rows_i, cols_i)), shape=(m, n))
+        self.rows.eliminate_zeros()
+        self.rels = np.array([rel for _, rel, _ in model.rows], dtype="<U2")
+        self.rhs = np.array([b for _, _, b in model.rows], dtype=float)
 
     def columns(self):
         """The row matrix in the CSC arrays HiGHS's `passModel` takes, and
         each row's lower and upper bound."""
-        matrix = sparse.csc_array(self.rows if self.m else (self.m, self.n))
+        matrix = sparse.csc_array(self.rows)
         row_lb = np.where(self.rels == LE, -np.inf, self.rhs)
         row_ub = np.where(self.rels == GE, np.inf, self.rhs)
         return (matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32),

@@ -176,6 +176,24 @@ class TestSimulateCompareValidate:
         assert run(["validate", "--data", str(small_year),
                     "--controllers", "rule-based,mpc-perfect", "--days", "1"]) == 0
 
+    def test_validate_without_controllers_is_an_error(self, small_year, capsys):
+        assert run(["validate", "--data", str(small_year), "--controllers", " , "]) == 2
+        assert "--controllers must name at least one controller" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "generate --days 0 -o {out}",
+        "simulate --data {data} --controller rule-based --days -2",
+        "compare --data {data} --controllers rule-based --days 0 --out {out}",
+        "validate --data {data} --controllers rule-based --days -2",
+    ])
+    def test_days_must_be_positive(self, small_year, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(argv.format(data=small_year, out=out).split())
+        assert exc_info.value.code == 1
+        assert "--days" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_controller_rejected(self, small_year, tmp_path):
         assert run(["compare", "--data", str(small_year),
                     "--controllers", "telepathy", "--days", "1",

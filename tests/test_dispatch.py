@@ -18,6 +18,7 @@ from microdispatch.dispatch import (
     extract_setpoint,
     extract_slack,
     solve_day_ahead,
+    window_profiles,
 )
 from microdispatch.domain import (
     Commitment,
@@ -165,21 +166,28 @@ class TestRealtimeBuilder:
             assert not name.startswith(("gb[", "gs[", "rd[", "rc[", "ug["))
 
     def test_stochastic_shares_exactly_seven_first_hour_variables(self):
+        # the seven first-hour decisions and the SOC they leave are written
+        # once; each of the five distinct scenarios chains its own later hours
         profiles = [flat_day(6000, 1000 * i) for i in range(5)]
-        ctx = RealTimeContext(
-            state=state_at(0), start_hour=0, hours=24,
-            commitment=Commitment.zero(),
-            scenarios=scenario_set(profiles, role="real-time"),
-            measured_load_kw=6100.0, measured_pv_kw=500.0)
-        model = build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
-        shared = [n for n in model.names
-                  if n in ("dg[0]", "ch[0]", "dis[0]", "uess[0]", "udg[0]",
-                           "start[0]", "stop[0]")]
-        assert len(shared) == 7
-        # no scenario-indexed copies of the first hour exist
-        assert not [n for n in model.names if n.startswith("dg[") and n.endswith(",0]")]
-        # per-scenario copies exist for later hours
-        assert "dg[0,1]" in model.names and "dg[4,23]" in model.names
+        first_hour = ("dg[0]", "ch[0]", "dis[0]", "uess[0]", "udg[0]", "start[0]",
+                      "stop[0]", "soc[0]")
+        for hour in (0, 12, 22):
+            ctx = RealTimeContext(
+                state=state_at(hour), start_hour=hour, hours=24 - hour,
+                commitment=Commitment.zero(),
+                scenarios=scenario_set(profiles, role="real-time"),
+                measured_load_kw=6100.0, measured_pv_kw=500.0)
+            model = build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
+            later = 23 - hour
+            assert [n for n in model.names if n in first_hour] == list(first_hour)
+            # no scenario-indexed copies of the first hour exist
+            assert not [n for n in model.names if n.endswith(",0]")]
+            # per-scenario copies exist for later hours
+            assert "dg[0,1]" in model.names and f"dg[4,{later}]" in model.names
+            assert model.num_vars == 8 + 8 * 5 * later
+            assert model.num_rows == 14 + 14 * 5 * later + 5
+            rows = [(tuple(terms), rel, rhs) for terms, rel, rhs in model.rows]
+            assert len(set(rows)) == len(rows)
 
     def test_balanced_hours_need_no_dispatch(self):
         commitment = Commitment(
@@ -399,7 +407,7 @@ def fitted_inputs():
             "commitment": commitment}
 
 
-def realtime_window(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
+def realtime_context(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
     day = inputs["day"]
     state = state_at(hour, soc, dg_prev)
     common = dict(state=state, start_hour=hour, hours=24 - hour,
@@ -414,7 +422,52 @@ def realtime_window(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
         ctx = RealTimeContext(**common, scenarios=inputs["realtime"],
                               measured_load_kw=float(day.load_kw[hour]),
                               measured_pv_kw=float(day.pv_kw[hour]))
-    return build_realtime(ctx, TARIFF, CFG, mode)
+    return ctx
+
+
+def realtime_window(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
+    return build_realtime(realtime_context(inputs, mode, hour, soc, dg_prev), TARIFF, CFG, mode)
+
+
+class TestStochasticFirstHour:
+    """The stochastic window is a two-stage program: one first hour, then
+    each scenario's recourse on its own."""
+
+    @pytest.mark.parametrize("hour", (0, 8, 16, 22))
+    @pytest.mark.parametrize("soc, dg_prev", ((12500.0, 0.0), (9000.0, 6000.0)))
+    def test_optimum_is_first_hour_plus_expected_recourse(self, fitted_inputs, hour, soc,
+                                                          dg_prev):
+        commitment = fitted_inputs["commitment"]
+        ctx = realtime_context(fitted_inputs, STOCHASTIC, hour, soc, dg_prev)
+        solution = solve_milp(build_realtime(ctx, TARIFF, CFG, STOCHASTIC))
+        assert solution.ok
+        dg, ch, dis = (solution.value(f"{key}[0]") for key in ("dg", "ch", "dis"))
+        on = solution.value("udg[0]") > 0.5
+        committed = commitment.hour(hour)
+        expected = (TARIFF.price(hour) * (committed.grid_buy_kw - committed.grid_sell_kw)
+                    - CFG.reserve_revenue * (committed.reserve_down_kw
+                                             + committed.reserve_up_kw)
+                    + CFG.dg_unit_cost * dg + CFG.ess_unit_cost * (ch + dis))
+        soc_next = soc - CFG.eta_discharge * dis + CFG.eta_charge * ch
+        state = MicrogridState(hour_of_day=hour + 1, soc_kwh=soc_next,
+                               soc_midnight_kwh=soc_next, dg_prev_kw=dg if on else 0.0,
+                               dg_on=on)
+        windows = window_profiles(ctx, STOCHASTIC)
+        assert len(windows) > 1
+        for load, pv, prob in windows:
+            recourse = RealTimeContext(state=state, start_hour=hour + 1, hours=23 - hour,
+                                       commitment=commitment, load_kw=load[1:], pv_kw=pv[1:])
+            tail = solve_milp(build_realtime(recourse, TARIFF, CFG, PERFECT))
+            assert tail.ok
+            expected += prob * tail.objective
+        assert solution.objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_hour_23_window_is_the_perfect_one(self, fitted_inputs):
+        # one hour left: every scenario holds only the measurement
+        for soc, dg_prev in ((12500.0, 0.0), (9000.0, 6000.0)):
+            assert_same_standard_form(
+                realtime_window(fitted_inputs, STOCHASTIC, 23, soc, dg_prev),
+                realtime_window(fitted_inputs, PERFECT, 23, soc, dg_prev))
 
 
 def with_binary_start_stop(model):

@@ -23,6 +23,7 @@ from microdispatch.milp import (
     LinearProgram,
     SolverError,
     SolveStatus,
+    _Standard,
     check_highs_bindings,
     dump_lp,
     parse_lp,
@@ -151,6 +152,30 @@ class TestSolveMilp:
         model.add_row([(u, 1.0)], ">=", 0.5)
         model.add_row([(u, 1.0)], "<=", 0.4)
         assert solve_milp(model).status is SolveStatus.INFEASIBLE
+
+    def test_repeated_terms_solve_as_their_merged_rows(self):
+        # `x + x <= 3` and `x - x + u <= 1`, against `2x <= 3` and `u <= 1`
+        def model(rows):
+            lp = LinearProgram()
+            lp.set_objective(lp.add_var("x", 0, 5), -1.0)  # index 0
+            lp.set_objective(lp.add_binary("u"), -1.0)     # index 1
+            for terms, rhs in rows:
+                lp.add_row(terms, "<=", rhs)
+            return lp
+
+        repeated = model([([(0, 1.0), (0, 1.0)], 3.0), ([(0, 1.0), (0, -1.0), (1, 1.0)], 1.0)])
+        merged = model([([(0, 2.0)], 3.0), ([(1, 1.0)], 1.0)])
+        a, b = _Standard(repeated), _Standard(merged)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a.rows, field), getattr(b.rows, field)), field
+        sol_a, sol_b = solve_milp(repeated), solve_milp(merged)
+        assert sol_a.ok and sol_b.ok
+        assert sol_a.objective == sol_b.objective == -2.5
+        assert np.array_equal(sol_a.values, sol_b.values)
+        assert np.array_equal(a.verified(sol_b.values), b.verified(sol_a.values))
+        for std in (a, b):
+            with pytest.raises(SolverError):
+                std.verified(np.array([2.0, 1.0]))
 
     def test_start_keeps_the_optimum(self):
         model = LinearProgram()
