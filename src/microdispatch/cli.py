@@ -28,6 +28,7 @@ from microdispatch.controllers import (
     compare_controllers,
 )
 from microdispatch.dataio import (
+    TRAIN_MONTHS,
     DataFormatError,
     SyntheticParams,
     generate_dataset,
@@ -105,11 +106,21 @@ def _planning_soc(raw: str):
             f"got {raw!r}") from None
 
 
-def _positive_int(raw: str) -> int:
-    """A count of at least 1, such as `--days`."""
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return int(raw)
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for a decimal integer in `low..high`, with no upper
+    bound when `high` is None."""
+    wanted = f"an integer of at least {low}" if high is None else f"an integer in {low}..{high}"
+
+    def parse(raw: str) -> int:
+        if not raw.isdecimal() or int(raw) < low or (high is not None and int(raw) > high):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {raw!r}")
+        return int(raw)
+
+    return parse
+
+
+_positive_int = _int_in(1)  # such as `--days`
+_train_months = _int_in(1, TRAIN_MONTHS)
 
 
 def _controller_kinds(args) -> list[str]:
@@ -282,7 +293,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True, help="profiles CSV")
         p.add_argument("--config", help="config JSON (defaults built in)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--train-months", type=int, default=11)
+        p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
         p.add_argument("--days", type=_positive_int, default=None,
                        help="limit the test window to this many days")
         p.add_argument("--weights", help="trained DQN weight file")
@@ -301,7 +312,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("day-ahead", help="solve one day-ahead commitment")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
-    p.add_argument("--train-months", type=int, default=11)
+    p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
     p.add_argument("--soc", type=float, default=None,
                    help="starting SOC (defaults to the contracted end SOC)")
     p.add_argument("--out", required=True)
@@ -310,8 +321,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-drl", help="train the DQN policy")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
-    p.add_argument("--train-months", type=int, default=11)
-    p.add_argument("--episodes", type=int, default=None,
+    p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
+    p.add_argument("--episodes", type=_int_in(0), default=None,
                    help="day-episodes to run (default: one pass over the data)")
     p.add_argument("--epsilon-decay-steps", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0)

@@ -37,6 +37,7 @@ from microdispatch.domain import (
 )
 
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+TRAIN_MONTHS = 11      # months of a dataset that train; the rest test
 PV_DAWN_HOUR = 6       # first hour with any generation
 PV_DUSK_HOUR = 19      # last hour with any generation
 
@@ -115,18 +116,19 @@ def _month_cut(n_days: int, months: int) -> int:
 
 
 def split_train_test(days):
-    """The first 11 months train, the rest tests; each side keeps a day."""
-    cut = max(1, min(len(days) - 1, _month_cut(len(days), 11)))
+    """The first `TRAIN_MONTHS` months train, the rest tests; each side keeps
+    a day."""
+    cut = max(1, min(len(days) - 1, _month_cut(len(days), TRAIN_MONTHS)))
     return list(days[:cut]), list(days[cut:])
 
 
 def trailing_train_months(days, months: int):
     """The last `months` months of `split_train_test`'s training span, and at
     least its last day."""
-    if not (1 <= months <= 11):
-        raise ValueError("months must be in 1..11")
+    if not (1 <= months <= TRAIN_MONTHS):
+        raise ValueError(f"months must be in 1..{TRAIN_MONTHS}")
     end = len(split_train_test(days)[0])
-    start = min(_month_cut(len(days), 11 - months), end - 1)
+    start = min(_month_cut(len(days), TRAIN_MONTHS - months), end - 1)
     return list(days[start:end])
 
 

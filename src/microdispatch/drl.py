@@ -7,15 +7,16 @@ FIFO replay buffer, a periodically synced target network, and plain
 stochastic-gradient updates on the squared TD error. Everything is driven
 by one seeded generator, so a training run reproduces bit-identical weights.
 
-The trained artifact bundles the weights with the observation-scaling
-constants and a configuration fingerprint; loading rejects mismatches.
+The trained artifact is a JSON weight file (format version 2): the layer
+sizes, weights and biases. Loading refuses any other format version and
+weights whose shapes disagree with the declared layer sizes. The
+observation scales are module constants, not part of the file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,14 @@ from microdispatch.domain import (
 
 HIDDEN_LAYERS = (64, 128, 128, 64)
 STATE_DIMENSION = 6
-WEIGHT_FORMAT_VERSION = 1
+WEIGHT_FORMAT_VERSION = 2
+#: denominators that scale the load and PV observations to about unit range
+LOAD_SCALE_KW = 10000.0
+PV_SCALE_KW = 15000.0
+REPLAY_CAPACITY = 50_000
+TARGET_SYNC_INTERVAL = 500
+EPSILON_START = 1.0
+EPSILON_END = 0.05
 
 
 @dataclass(frozen=True)
@@ -40,11 +48,7 @@ class DqnConfig:
     discount: float = 0.9
     learning_rate: float = 0.001
     action_count: int = 40
-    replay_capacity: int = 50_000
     batch_size: int = 64
-    target_sync_interval: int = 500
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
     epsilon_decay_steps: int = 50_000
     episodes: int | None = None  # None: one pass over the training days
     seed: int = 0
@@ -54,30 +58,6 @@ class DqnConfig:
             raise ValueError("discount must be in [0, 1]")
         if self.action_count < 2:
             raise ValueError("need at least two actions")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-
-    def fingerprint(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Observation scaling constants, stored with the trained network."""
-
-    load_scale_kw: float = 10000.0
-    pv_scale_kw: float = 15000.0
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
 
 
 class MlpNetwork:
@@ -131,13 +111,12 @@ def forward(network: MlpNetwork, observation: np.ndarray) -> np.ndarray:
 
 
 def encode_state(state: MicrogridState, load_kw: float, pv_kw: float,
-                 config: MicrogridConfig,
-                 norm: Normalization = Normalization()) -> np.ndarray:
+                 config: MicrogridConfig) -> np.ndarray:
     """Six observations scaled to the unit range by fixed denominators."""
     return np.array([
         state.hour_of_day / (HOURS_PER_DAY - 1),
-        load_kw / norm.load_scale_kw,
-        pv_kw / norm.pv_scale_kw,
+        load_kw / LOAD_SCALE_KW,
+        pv_kw / PV_SCALE_KW,
         state.soc_kwh / config.ess_energy_max,
         state.soc_midnight_kwh / config.ess_energy_max,
         state.dg_prev_kw / config.dg_power_max,
@@ -171,25 +150,22 @@ def reward(step_cost: float, blackout: bool, config: MicrogridConfig) -> float:
 
 
 def train_step(network: MlpNetwork, target: MlpNetwork,
-               batch: list[Transition], config: DqnConfig,
-               target_bound: float | None = None) -> float:
+               batch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+               config: DqnConfig, target_bound: float | None = None) -> float:
     """One SGD step on the squared TD error of a batch; returns the loss.
 
-    Targets bootstrap through the target network except on terminal
-    transitions. With `target_bound` set, any TD target outside the
-    geometric envelope max|reward|/(1-discount) aborts training as
-    divergence. The network is updated in place.
+    `batch` is `(states, actions, rewards, next_states)`, one row per
+    transition. Every target bootstraps through the target network: the
+    plant has no terminal state. With `target_bound` set, any TD target
+    outside the geometric envelope max|reward|/(1-discount) aborts training
+    as divergence. The network is updated in place.
     """
-    if not batch:
+    states, actions, rewards, next_states = batch
+    if len(actions) == 0:
         raise ValueError("empty batch")
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    terminal = np.array([t.terminal for t in batch])
 
     next_q = target.forward_batch(next_states)[-1]
-    targets = rewards + config.discount * np.where(terminal, 0.0, next_q.max(axis=1))
+    targets = rewards + config.discount * next_q.max(axis=1)
     if target_bound is not None and np.abs(targets).max() > target_bound:
         raise FloatingPointError(
             f"TD target escaped the reward envelope +-{target_bound:.1f}; "
@@ -197,7 +173,7 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
 
     activations = network.forward_batch(states)
     q = activations[-1]
-    taken = q[np.arange(len(batch)), actions]
+    taken = q[np.arange(len(actions)), actions]
     diff = taken - targets
     loss = float(np.mean(diff ** 2))
     if not np.isfinite(loss):
@@ -205,7 +181,7 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
 
     # backpropagate d(loss)/d(output) through the rectifier stack
     grad_out = np.zeros_like(q)
-    grad_out[np.arange(len(batch)), actions] = 2.0 * diff / len(batch)
+    grad_out[np.arange(len(actions)), actions] = 2.0 * diff / len(actions)
     delta = grad_out
     for layer in range(len(network.weights) - 1, -1, -1):
         a_prev = activations[layer]
@@ -219,33 +195,44 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
 
 
 class ReplayBuffer:
-    def __init__(self, capacity: int):
+    """FIFO replay in preallocated arrays: slot i holds push i mod capacity.
+
+    The arrays are left uninitialised, so memory is touched only as rows
+    are written.
+    """
+
+    def __init__(self, capacity: int, dimension: int):
         self.capacity = capacity
-        self.buffer: list[Transition] = []
-        self.cursor = 0
+        self.states = np.empty((capacity, dimension))
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity)
+        self.next_states = np.empty((capacity, dimension))
+        self.pushes = 0
 
-    def push(self, transition: Transition) -> None:
-        if len(self.buffer) < self.capacity:
-            self.buffer.append(transition)
-        else:
-            self.buffer[self.cursor] = transition
-            self.cursor = (self.cursor + 1) % self.capacity
+    def push(self, state: np.ndarray, action: int, reward: float,
+             next_state: np.ndarray) -> None:
+        i = self.pushes % self.capacity
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.pushes += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        idx = rng.integers(0, len(self.buffer), size=batch_size)
-        return [self.buffer[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator):
+        """`(states, actions, rewards, next_states)` of `batch_size` rows
+        drawn uniformly, with replacement, from the filled slots."""
+        idx = rng.integers(0, len(self), size=batch_size)
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
     def __len__(self):
-        return len(self.buffer)
+        return min(self.pushes, self.capacity)
 
 
 @dataclass
 class DqnPolicy:
-    """Trained artifact: network plus everything inference must agree on."""
+    """Trained artifact: the network that inference runs."""
 
     network: MlpNetwork
-    normalization: Normalization
-    config_fingerprint: str
 
     def action(self, observation: np.ndarray) -> int:
         values = forward(self.network, observation)
@@ -255,9 +242,6 @@ class DqnPolicy:
         payload = {
             "format_version": WEIGHT_FORMAT_VERSION,
             "layer_sizes": self.network.layer_sizes,
-            "normalization": {"load_scale_kw": self.normalization.load_scale_kw,
-                              "pv_scale_kw": self.normalization.pv_scale_kw},
-            "config_fingerprint": self.config_fingerprint,
             "weights": [w.tolist() for w in self.network.weights],
             "biases": [b.tolist() for b in self.network.biases],
         }
@@ -272,24 +256,18 @@ class DqnPolicy:
             raise ValueError(f"{path}: weight file holds a JSON {type(payload).__name__}, "
                              f"not an object")
         if payload.get("format_version") != WEIGHT_FORMAT_VERSION:
-            raise ValueError(f"unsupported weight format {payload.get('format_version')}")
+            raise ValueError(f"{path}: unsupported weight format "
+                             f"{payload.get('format_version')}")
         try:
             weights = [np.array(w, dtype=float) for w in payload["weights"]]
             biases = [np.array(b, dtype=float) for b in payload["biases"]]
             layer_sizes = payload["layer_sizes"]
-            norm_fields = payload["normalization"]
-            fingerprint = payload["config_fingerprint"]
         except KeyError as exc:
             raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
-        known = {f.name for f in fields(Normalization)}
-        if not isinstance(norm_fields, dict) or not set(norm_fields) <= known:
-            raise ValueError(f"{path}: normalization must be an object with keys among "
-                             f"{sorted(known)}, got {norm_fields!r}")
-        norm = Normalization(**norm_fields)
         network = MlpNetwork(weights, biases)
         if network.layer_sizes != layer_sizes:
             raise ValueError("weight shapes disagree with the declared layer sizes")
-        return cls(network=network, normalization=norm, config_fingerprint=fingerprint)
+        return cls(network=network)
 
 
 class TrainingEnvironment:
@@ -301,17 +279,14 @@ class TrainingEnvironment:
     reward accounting, one day each.
     """
 
-    def __init__(self, days, tariff, config: MicrogridConfig, commitment,
-                 norm: Normalization = Normalization(),
-                 initial_soc_kwh: float | None = None):
+    def __init__(self, days, tariff, config: MicrogridConfig, commitment):
         if len(days) == 0:
             raise ValueError("empty training dataset")
         self.days = days
         self.tariff = tariff
         self.config = config
         self.commitment = commitment
-        self.norm = norm
-        soc0 = config.ess_energy_end if initial_soc_kwh is None else initial_soc_kwh
+        soc0 = config.ess_energy_end
         self.state = MicrogridState(hour_of_day=0, soc_kwh=soc0, soc_midnight_kwh=soc0)
         self.day_index = 0
 
@@ -319,7 +294,7 @@ class TrainingEnvironment:
         day = self.days[self.day_index % len(self.days)]
         h = self.state.hour_of_day
         return encode_state(self.state, float(day.load_kw[h]), float(day.pv_kw[h]),
-                            self.config, self.norm)
+                            self.config)
 
     def reward_magnitude_bound(self) -> float:
         """Loose per-hour bound on |reward| for divergence detection."""
@@ -353,11 +328,15 @@ class TrainingEnvironment:
 def train_agent(environment: TrainingEnvironment,
                 config: DqnConfig) -> tuple[DqnPolicy, list[float]]:
     """Run DQN over day-long episodes; returns the policy and reward curve."""
+    if config.action_count != environment.config.drl_action_count:
+        raise ValueError(f"DqnConfig.action_count {config.action_count} differs from "
+                         f"MicrogridConfig.drl_action_count "
+                         f"{environment.config.drl_action_count}")
     rng = np.random.default_rng(config.seed)
     sizes = [STATE_DIMENSION, *HIDDEN_LAYERS, config.action_count]
     network = MlpNetwork.initialize(sizes, rng)
     target = network.copy()
-    replay = ReplayBuffer(config.replay_capacity)
+    replay = ReplayBuffer(REPLAY_CAPACITY, STATE_DIMENSION)
 
     episodes = config.episodes
     if episodes is None:
@@ -367,11 +346,11 @@ def train_agent(environment: TrainingEnvironment,
     step_count = 0
     divergence_bound = (environment.reward_magnitude_bound()
                         / max(1.0 - config.discount, 1e-6))
+    obs = environment.observe()
     for _ in range(episodes):
         episode_reward = 0.0
         day_finished = False
         while not day_finished:
-            obs = environment.observe()
             epsilon = _epsilon(step_count, config)
             if rng.random() < epsilon:
                 action = int(rng.integers(config.action_count))
@@ -382,26 +361,24 @@ def train_agent(environment: TrainingEnvironment,
             # day boundaries delimit reward accounting only: the battery and
             # generator carry over, so the value function must bootstrap
             # straight through midnight
-            replay.push(Transition(state=obs, action=action, reward=step_reward,
-                                   next_state=environment.observe(),
-                                   terminal=False))
+            next_obs = environment.observe()
+            replay.push(obs, action, step_reward, next_obs)
+            obs = next_obs
             step_count += 1
             if len(replay) >= config.batch_size:
                 train_step(network, target, replay.sample(config.batch_size, rng),
                            config, target_bound=divergence_bound)
-            if step_count % config.target_sync_interval == 0:
+            if step_count % TARGET_SYNC_INTERVAL == 0:
                 target = network.copy()
         curve.append(episode_reward)
-    policy = DqnPolicy(network=network, normalization=environment.norm,
-                       config_fingerprint=config.fingerprint())
-    return policy, curve
+    return DqnPolicy(network=network), curve
 
 
 def _epsilon(step: int, config: DqnConfig) -> float:
     if config.epsilon_decay_steps <= 0:
-        return config.epsilon_end
+        return EPSILON_END
     frac = min(1.0, step / config.epsilon_decay_steps)
-    return config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
+    return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
 
 class DrlController:
@@ -419,7 +396,7 @@ class DrlController:
         load = float(day.load_kw[h])
         pv = float(day.pv_kw[h])
         committed = commitment.hour(h)
-        obs = encode_state(state, load, pv, config, self.policy.normalization)
+        obs = encode_state(state, load, pv, config)
         action = self.policy.action(obs)
         dg_kw, started, stopped = action_to_dg(action, state, config)
         return residual_setpoint(dg_kw, started, stopped, load, pv, committed)

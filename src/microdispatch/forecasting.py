@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from microdispatch.domain import HOURS_PER_DAY, DayProfile
+from microdispatch.domain import HOURS_PER_DAY
 
 HISTORY_DEPTH = 3
 
@@ -122,7 +122,8 @@ class LoadPvForecaster:
                                           float(day.pv_kw[hour]))
         return current
 
-    def forecast_profile(self, start_hour: int, length: int) -> DayProfile | tuple:
+    def forecast_profile(self, start_hour: int,
+                         length: int) -> tuple[np.ndarray, np.ndarray]:
         """(load, pv) horizon forecasts as arrays of `length` hours."""
         return (self.load.forecast(start_hour, length),
                 self.pv.forecast(start_hour, length))

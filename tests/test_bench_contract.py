@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` patches public names and reads positional arguments
 (`build_realtime`'s context and mode, `solve_milp`'s model), and
-`perfbench/workloads.py` calls `decide` with five arguments. A signature
+`perfbench/workloads.py` calls `decide` with five arguments and trains
+through `TrainingEnvironment`, `DqnConfig` and `train_agent`. A signature
 change that breaks either fails here, not first in a benchmark run.
 """
 
@@ -19,8 +20,14 @@ import workloads  # noqa: E402
 
 import microdispatch.controllers as controllers  # noqa: E402
 import microdispatch.dispatch as dispatch  # noqa: E402
+import microdispatch.drl as drl  # noqa: E402
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test  # noqa: E402
-from microdispatch.domain import MicrogridConfig, MicrogridState, TariffSchedule  # noqa: E402
+from microdispatch.domain import (  # noqa: E402
+    Commitment,
+    MicrogridConfig,
+    MicrogridState,
+    TariffSchedule,
+)
 from microdispatch.scenarios import (  # noqa: E402
     build_dayahead_scenarios,
     build_realtime_scenarios,
@@ -82,3 +89,28 @@ def test_traced_day_ahead_and_stochastic_decisions(tracer):
     assert metrics["milp.day_ahead.nodes"] >= 1
     assert metrics["dispatch.window0.binaries.stochastic"] > 0
     assert metrics["controllers.decide_self_ms_p50.mpc-stochastic"] > 0
+
+
+def test_traced_training_round(tracer):
+    days = generate_dataset(SyntheticParams(seed=0, days=3))
+    tracer.phase = "timed"
+    environment = workloads.TimedEnvironment(days, TARIFF, CFG, Commitment.zero())
+    config = drl.DqnConfig(action_count=CFG.drl_action_count, episodes=3, seed=0,
+                           batch_size=8, epsilon_decay_steps=24)
+    _, curve = drl.train_agent(environment, config)
+    tracer.phase = "check"
+
+    steps = 3 * 24
+    assert len(curve) == 3 and len(environment.stamps) == steps
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("drl.train_agent") == 1
+    assert names.count("drl.env_step") == steps
+    # training starts once the replay holds one batch
+    assert names.count("drl.train_step") == steps - config.batch_size + 1
+    assert names.count("drl.replay_sample") == steps - config.batch_size + 1
+
+    metrics = tracing.layer_metrics(tracer, setups=1, rounds=1, timed_s=1.0,
+                                    cache_lookups=0)
+    drl_metrics = {k: v for k, v in metrics.items() if k.startswith("drl.")}
+    assert len(drl_metrics) == 6
+    assert all(value > 0 for value in drl_metrics.values()), drl_metrics

@@ -82,6 +82,15 @@ class TestTrainDrl:
         # one pass over November: one episode per day
         assert len(curve.read_text().splitlines()) == 1 + 30
 
+    def test_negative_episodes_is_usage_error(self, small_year, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        with pytest.raises(SystemExit) as exc_info:
+            run(["train-drl", "--data", str(small_year), "--episodes", "-1",
+                 "--out", str(weights), "--curve", str(tmp_path / "curve.csv")])
+        assert exc_info.value.code == 1
+        assert "--episodes" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_same_seed_same_weight_hash(self, small_year, tmp_path):
         files = []
         for tag in ("a", "b"):
@@ -143,7 +152,7 @@ class TestSimulateCompareValidate:
     def test_malformed_weight_file_names_the_missing_key(self, small_year, tmp_path,
                                                          capsys):
         weights = tmp_path / "w.json"
-        weights.write_text(json.dumps({"format_version": 1, "layer_sizes": [6, 2]}))
+        weights.write_text(json.dumps({"format_version": 2, "layer_sizes": [6, 2]}))
         assert run(["simulate", "--data", str(small_year), "--controller", "drl",
                     "--weights", str(weights), "--days", "1"]) == 2
         err = capsys.readouterr().err
@@ -152,8 +161,10 @@ class TestSimulateCompareValidate:
 
     @pytest.mark.parametrize("payload, says", [
         ([1, 2, 3], "JSON list"),
+        # the version-1 layout, with its observation scales and fingerprint
         ({"format_version": 1, "weights": [], "biases": [], "layer_sizes": [],
-          "normalization": {"load_scale": 1.0}, "config_fingerprint": ""}, "load_scale"),
+          "normalization": {"load_scale_kw": 1.0}, "config_fingerprint": ""},
+         "unsupported weight format 1"),
     ])
     def test_malformed_weight_file_is_an_error_line(self, small_year, tmp_path, capsys,
                                                     payload, says):
@@ -192,6 +203,23 @@ class TestSimulateCompareValidate:
             run(argv.format(data=small_year, out=out).split())
         assert exc_info.value.code == 1
         assert "--days" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("months", ["0", "12", "-3"])
+    @pytest.mark.parametrize("argv", [
+        "day-ahead --data {data} --out {out}",
+        "train-drl --data {data} --out {out} --curve {out}.csv",
+        "simulate --data {data} --controller rule-based",
+        "compare --data {data} --controllers rule-based --out {out}",
+        "validate --data {data} --controllers rule-based",
+    ])
+    def test_train_months_outside_1_to_11_is_usage_error(self, small_year, tmp_path,
+                                                          capsys, argv, months):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(argv.format(data=small_year, out=out).split() + ["--train-months", months])
+        assert exc_info.value.code == 1
+        assert "--train-months" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_controller_rejected(self, small_year, tmp_path):

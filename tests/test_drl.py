@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from microdispatch.domain import (
     TariffSchedule,
 )
 from microdispatch.drl import (
+    LOAD_SCALE_KW,
+    PV_SCALE_KW,
     DqnConfig,
     DqnPolicy,
     DrlController,
     MlpNetwork,
-    Normalization,
+    ReplayBuffer,
     TrainingEnvironment,
-    Transition,
     action_to_dg,
     encode_state,
     forward,
@@ -44,11 +47,10 @@ class TestEncodeState:
         assert encode_state(state, 0.0, 0.0, CFG)[0] == 1.0
 
     def test_round_trip_through_denominators(self):
-        norm = Normalization()
         state = make_state(hour=13, soc=18231.5, soc0=9000.25, dg_prev=5421.0)
-        vec = encode_state(state, 8123.0, 4201.0, CFG, norm)
-        assert vec[1] * norm.load_scale_kw == pytest.approx(8123.0, rel=1e-12)
-        assert vec[2] * norm.pv_scale_kw == pytest.approx(4201.0, rel=1e-12)
+        vec = encode_state(state, 8123.0, 4201.0, CFG)
+        assert vec[1] * LOAD_SCALE_KW == pytest.approx(8123.0, rel=1e-12)
+        assert vec[2] * PV_SCALE_KW == pytest.approx(4201.0, rel=1e-12)
         assert vec[3] * CFG.ess_energy_max == pytest.approx(18231.5, rel=1e-12)
         assert vec[4] * CFG.ess_energy_max == pytest.approx(9000.25, rel=1e-12)
         assert vec[5] * CFG.dg_power_max == pytest.approx(5421.0, rel=1e-12)
@@ -131,34 +133,29 @@ class TestForward:
 
 
 def loss_oracle(network, target_net, batch, discount):
-    """Straight-line TD loss recomputation, no shared code with train_step."""
+    """Straight-line TD loss recomputation, one row at a time, no shared code
+    with train_step."""
+    states, actions, rewards, next_states = batch
     total = 0.0
-    for t in batch:
-        a = t.state.copy()
+    for state, action, r, next_state in zip(states, actions, rewards, next_states):
+        a = state.copy()
         for i, (w, b) in enumerate(zip(network.weights, network.biases)):
             a = a @ w + b
             if i < len(network.weights) - 1:
                 a = np.maximum(a, 0.0)
-        q_taken = a[t.action]
-        n = t.next_state.copy()
+        n = next_state.copy()
         for i, (w, b) in enumerate(zip(target_net.weights, target_net.biases)):
             n = n @ w + b
             if i < len(target_net.weights) - 1:
                 n = np.maximum(n, 0.0)
-        tgt = t.reward + (0.0 if t.terminal else discount * n.max())
-        total += (q_taken - tgt) ** 2
-    return total / len(batch)
+        total += (a[action] - (r + discount * n.max())) ** 2
+    return total / len(actions)
 
 
 class TestTrainStep:
     def random_batch(self, rng, in_dim, n_actions, size=8):
-        batch = []
-        for _ in range(size):
-            batch.append(Transition(
-                state=rng.normal(size=in_dim), action=int(rng.integers(n_actions)),
-                reward=float(rng.normal()), next_state=rng.normal(size=in_dim),
-                terminal=bool(rng.random() < 0.3)))
-        return batch
+        return (rng.normal(size=(size, in_dim)), rng.integers(n_actions, size=size),
+                rng.normal(size=size), rng.normal(size=(size, in_dim)))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(77)
@@ -215,18 +212,18 @@ class TestTrainStep:
         batch = self.random_batch(rng, 3, 2, size=4)
         config = DqnConfig(discount=0.0, learning_rate=0.0, action_count=2)
         loss = train_step(net, target, batch, config)
-        expected = np.mean([(forward(net, t.state)[t.action] - t.reward) ** 2
-                            for t in batch])
+        states, actions, rewards, _ = batch
+        expected = np.mean([(forward(net, s)[a] - r) ** 2
+                            for s, a, r in zip(states, actions, rewards)])
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_single_parameter_closed_form(self):
-        # q = w*x, one action: dL/dw = 2*(w*x - r)*x
+        # q = w*x, one action, no bootstrap: dL/dw = 2*(w*x - r)*x
         w0, x, r, lr = 1.5, 2.0, 0.25, 0.01
         net = MlpNetwork([np.array([[w0]])], [np.array([0.0])])
         target = net.copy()
-        batch = [Transition(state=np.array([x]), action=0, reward=r,
-                            next_state=np.array([x]), terminal=True)]
-        config = DqnConfig(discount=0.9, learning_rate=lr, action_count=2)
+        batch = (np.array([[x]]), np.array([0]), np.array([r]), np.array([[x]]))
+        config = DqnConfig(discount=0.0, learning_rate=lr, action_count=2)
         train_step(net, target, batch, config)
         expected = w0 - lr * 2 * (w0 * x - r) * x
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
@@ -235,11 +232,34 @@ class TestTrainStep:
         rng = np.random.default_rng(6)
         net = MlpNetwork.initialize([2, 3, 2], rng)
         target = net.copy()
-        batch = [Transition(state=np.array([0.5, 0.5]), action=0, reward=-1e9,
-                            next_state=np.array([0.5, 0.5]), terminal=False)]
+        batch = (np.array([[0.5, 0.5]]), np.array([0]), np.array([-1e9]),
+                 np.array([[0.5, 0.5]]))
         config = DqnConfig(learning_rate=0.001, action_count=2)
         with pytest.raises(FloatingPointError):
             train_step(net, target, batch, config, target_bound=100.0)
+
+
+class TestReplayBuffer:
+    def test_wrap_around_keeps_fifo_slots(self):
+        replay = ReplayBuffer(capacity=3, dimension=2)
+        for push in range(5):
+            replay.push(np.full(2, push), push, -push, np.full(2, push + 0.5))
+        assert len(replay) == 3
+        # slot i holds push i mod 3: pushes 3 and 4 overwrote 0 and 1
+        assert replay.actions.tolist() == [3, 4, 2]
+        assert replay.rewards.tolist() == [-3, -4, -2]
+        assert replay.states[:, 0].tolist() == [3, 4, 2]
+        assert replay.next_states[:, 0].tolist() == [3.5, 4.5, 2.5]
+
+    def test_sample_draws_only_filled_rows(self):
+        replay = ReplayBuffer(capacity=10, dimension=1)
+        for push in range(3):
+            replay.push(np.array([push]), push, float(push), np.array([push + 1]))
+        states, actions, rewards, next_states = replay.sample(200, np.random.default_rng(4))
+        assert set(actions.tolist()) == {0, 1, 2}
+        assert np.array_equal(states[:, 0], actions)
+        assert np.array_equal(rewards, actions)
+        assert np.array_equal(next_states[:, 0], actions + 1)
 
 
 def tiny_environment(days=4, load=7000.0):
@@ -249,8 +269,7 @@ def tiny_environment(days=4, load=7000.0):
         grid_buy_kw=np.full(24, 5000.0), grid_sell_kw=np.zeros(24),
         reserve_down_kw=np.zeros(24), reserve_up_kw=np.zeros(24),
         buying=np.ones(24, dtype=bool))
-    return TrainingEnvironment(profiles, TariffSchedule(), CFG, commitment,
-                               initial_soc_kwh=12500.0)
+    return TrainingEnvironment(profiles, TariffSchedule(), CFG, commitment)
 
 
 class TestTrainAgent:
@@ -275,6 +294,12 @@ class TestTrainAgent:
         _, curve = train_agent(env, config)
         assert len(curve) == 2
 
+    @pytest.mark.parametrize("action_count", [39, 41])
+    def test_action_count_must_match_the_plant(self, action_count):
+        config = DqnConfig(action_count=action_count, episodes=1, seed=0)
+        with pytest.raises(ValueError, match=f"{action_count}.*40"):
+            train_agent(tiny_environment(), config)
+
     def test_seeded_determinism(self):
         config = DqnConfig(episodes=2, seed=11, batch_size=8,
                            epsilon_decay_steps=40)
@@ -289,12 +314,10 @@ class TestPolicyArtifact:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         net = MlpNetwork.initialize([6, 8, 40], rng)
-        policy = DqnPolicy(network=net, normalization=Normalization(),
-                           config_fingerprint="abc123")
+        policy = DqnPolicy(network=net)
         path = tmp_path / "weights.json"
         policy.save(path)
         loaded = DqnPolicy.load(path)
-        assert loaded.config_fingerprint == "abc123"
         for a, b in zip(loaded.network.weights, net.weights):
             assert np.array_equal(a, b)
         obs = np.full(6, 0.25)
@@ -303,11 +326,9 @@ class TestPolicyArtifact:
     def test_load_rejects_mismatched_shapes(self, tmp_path):
         rng = np.random.default_rng(9)
         net = MlpNetwork.initialize([6, 8, 40], rng)
-        policy = DqnPolicy(network=net, normalization=Normalization(),
-                           config_fingerprint="abc123")
+        policy = DqnPolicy(network=net)
         path = tmp_path / "weights.json"
         policy.save(path)
-        import json
         payload = json.loads(path.read_text())
         payload["layer_sizes"] = [6, 9, 40]
         path.write_text(json.dumps(payload))
@@ -318,8 +339,7 @@ class TestPolicyArtifact:
 class TestDrlController:
     def test_all_zero_network_picks_action_zero(self):
         net = MlpNetwork([np.zeros((6, 40))], [np.zeros(40)])
-        policy = DqnPolicy(network=net, normalization=Normalization(),
-                           config_fingerprint="x")
+        policy = DqnPolicy(network=net)
         controller = DrlController(policy)
         day = DayProfile(load_kw=np.full(24, 6000.0), pv_kw=np.zeros(24))
         sp = controller.decide(make_state(soc=20000.0), day, Commitment.zero(),
@@ -330,8 +350,7 @@ class TestDrlController:
     def test_forced_argmax_runs_generator(self):
         net = MlpNetwork([np.zeros((6, 40))], [np.zeros(40)])
         net.biases[0][39] = 5.0
-        policy = DqnPolicy(network=net, normalization=Normalization(),
-                           config_fingerprint="x")
+        policy = DqnPolicy(network=net)
         controller = DrlController(policy)
         day = DayProfile(load_kw=np.full(24, 6000.0), pv_kw=np.zeros(24))
         sp = controller.decide(make_state(soc=20000.0), day, Commitment.zero(),
@@ -342,8 +361,7 @@ class TestDrlController:
     def test_decisions_deterministic(self):
         rng = np.random.default_rng(21)
         net = MlpNetwork.initialize([6, 16, 40], rng)
-        policy = DqnPolicy(network=net, normalization=Normalization(),
-                           config_fingerprint="x")
+        policy = DqnPolicy(network=net)
         controller = DrlController(policy)
         day = DayProfile(load_kw=np.full(24, 7000.0), pv_kw=np.zeros(24))
         state = make_state(soc=15000.0)
