@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     def common_run_flags(p):
         p.add_argument("--data", required=True, help="profiles CSV")
         p.add_argument("--config", help="config JSON (defaults built in)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_in(0), default=0)
         p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
         p.add_argument("--days", type=_positive_int, default=None,
                        help="limit the test window to this many days")
@@ -305,7 +305,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic profiles CSV")
     p.add_argument("--days", type=_positive_int, default=365)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -324,8 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
     p.add_argument("--episodes", type=_int_in(0), default=None,
                    help="day-episodes to run (default: one pass over the data)")
-    p.add_argument("--epsilon-decay-steps", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon-decay-steps", type=_int_in(0), default=50_000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--out", required=True, help="weight file")
     p.add_argument("--curve", required=True, help="learning-curve CSV")
     p.set_defaults(func=cmd_train_drl)

@@ -176,8 +176,6 @@ class MpcController:
         elif self.mode == FORECAST:
             self.forecaster = self.forecaster.observe(h, load_now, pv_now)
             load_fc, pv_fc = self.forecaster.forecast_profile(h, hours)
-            load_fc = load_fc.copy()
-            pv_fc = pv_fc.copy()
             load_fc[0] = load_now
             pv_fc[0] = pv_now
             ctx = RealTimeContext(state=state, start_hour=h, hours=hours,

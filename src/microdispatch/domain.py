@@ -61,8 +61,8 @@ class MicrogridConfig:
                      "ess_unit_cost", "reserve_revenue"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not (0.0 <= self.forecast_theta <= 1.0):
-            raise ValueError("forecast_theta must be in [0, 1]")
+        if not (0.0 < self.forecast_theta <= 1.0):
+            raise ValueError("forecast_theta must be in (0, 1]")
         if not (0.0 < self.forecast_kappa <= 1.0):
             raise ValueError("forecast_kappa must be in (0, 1]")
         if self.drl_action_count < 2:

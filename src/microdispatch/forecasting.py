@@ -1,13 +1,19 @@
 """Hour-of-day exponential moving average forecasting with a local scaling factor.
 
-One forecaster tracks a single series (load or PV) through 24 rolling
+`LoadPvForecaster` tracks load and PV together. Each series keeps 24 rolling
 averages, one per clock hour, each updated once per day from that day's
-observation. A horizon forecast multiplies the per-hour averages by a single
-scaling factor derived from how the last few same-hour predictions compared
-to what actually happened, which lets the forecast adapt to the current day
-(a cloudy morning drags the whole remaining horizon down).
+observation: the first observation seeds the average, later ones blend in
+as `theta * average + (1 - theta) * observed`. A horizon forecast multiplies
+the per-hour averages by one scaling factor per series, the recency-weighted
+mean of the last `HISTORY_DEPTH` same-hour actual-to-predicted ratios at the
+start hour (weights `kappa**1`, `kappa**2`, ...). That lets the forecast adapt
+to the current day: a cloudy morning drags the whole remaining horizon down.
 
-Forecasters are immutable; `observe` returns the advanced instance.
+The state is a handful of read-only arrays, load in row 0 and PV in row 1.
+The ratio history is zero-initialised and newest first, and an entry whose
+prediction is not positive, a missing one included, counts as ratio 1.
+Forecasters are immutable; `observe` and `warm_up` return the advanced
+instance.
 """
 
 from __future__ import annotations
@@ -25,105 +31,88 @@ class ColdForecasterError(ValueError):
     """Raised when forecasting from a slot that has never been observed."""
 
 
-def ema_update(average: float, observed: float, theta: float) -> float:
-    """Advance an exponential moving average one step."""
-    return theta * average + (1.0 - theta) * observed
-
-
-def scaling_factor(history, kappa: float) -> float:
-    """Recency-weighted mean of prediction-to-actual ratios.
-
-    `history` holds up to 3 (predicted, actual) pairs, newest first; missing
-    entries and non-positive predictions count as ratio 1.
-    """
-    num = 0.0
-    den = 0.0
-    for j in range(HISTORY_DEPTH):
-        weight = kappa ** (j + 1)
-        if j < len(history) and history[j][0] > 0.0:
-            ratio = history[j][1] / history[j][0]
-        else:
-            ratio = 1.0
-        num += weight * ratio
-        den += weight
-    return num / den
-
-
-@dataclass(frozen=True)
-class EmaForecaster:
-    """Per-hour EMA state for one series."""
+@dataclass(frozen=True, eq=False)
+class LoadPvForecaster:
+    """Per-hour EMA state of the load and PV series, observed together."""
 
     theta: float
     kappa: float
-    averages: tuple = tuple(0.0 for _ in range(HOURS_PER_DAY))
-    history: tuple = tuple(() for _ in range(HOURS_PER_DAY))
-    observations: tuple = tuple(0 for _ in range(HOURS_PER_DAY))
+    averages: np.ndarray      # (2, 24)
+    predicted: np.ndarray     # (2, 24, HISTORY_DEPTH), the average before each observation
+    actual: np.ndarray        # (2, 24, HISTORY_DEPTH), the observation itself
+    observations: np.ndarray  # (24,), days observed per hour
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("theta must be in (0, 1]")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must be in (0, 1]")
-
-    def observe(self, hour: int, actual: float) -> "EmaForecaster":
-        """Fold one day's observation at `hour` into that hour's average."""
-        hour = hour % HOURS_PER_DAY
-        prior = self.averages[hour]
-        count = self.observations[hour]
-        updated = actual if count == 0 else ema_update(prior, actual, self.theta)
-        pair = (prior if count > 0 else 0.0, actual)
-        slot_history = ((pair,) + self.history[hour])[:HISTORY_DEPTH]
-
-        averages = list(self.averages)
-        histories = list(self.history)
-        counts = list(self.observations)
-        averages[hour] = updated
-        histories[hour] = slot_history
-        counts[hour] = count + 1
-        return replace(self, averages=tuple(averages), history=tuple(histories),
-                       observations=tuple(counts))
-
-    def forecast(self, start_hour: int, length: int) -> np.ndarray:
-        """Forecast `length` hours from `start_hour` (wrapping at midnight).
-
-        The scaling factor comes from the start hour's recent history, so a
-        fresh same-day observation there bends the whole horizon.
-        """
-        hours = [(start_hour + k) % HOURS_PER_DAY for k in range(length)]
-        if any(self.observations[h] == 0 for h in hours + [start_hour % HOURS_PER_DAY]):
-            raise ColdForecasterError(
-                "forecaster has unobserved hours; warm it up on at least one full day")
-        sf = scaling_factor(self.history[start_hour % HOURS_PER_DAY], self.kappa)
-        return np.array([max(0.0, self.averages[h] * sf) for h in hours])
-
-
-@dataclass(frozen=True)
-class LoadPvForecaster:
-    """Independent load and PV forecasters advanced in lockstep."""
-
-    load: EmaForecaster
-    pv: EmaForecaster
+        for array in (self.averages, self.predicted, self.actual, self.observations):
+            array.setflags(write=False)
 
     @classmethod
     def fresh(cls, theta: float, kappa: float) -> "LoadPvForecaster":
-        return cls(load=EmaForecaster(theta=theta, kappa=kappa),
-                   pv=EmaForecaster(theta=theta, kappa=kappa))
+        history = np.zeros((2, HOURS_PER_DAY, HISTORY_DEPTH))
+        return cls(theta=theta, kappa=kappa, averages=np.zeros((2, HOURS_PER_DAY)),
+                   predicted=history, actual=history.copy(),
+                   observations=np.zeros(HOURS_PER_DAY, dtype=int))
+
+    def _fold(self, hours: slice, observed: np.ndarray) -> "LoadPvForecaster":
+        """Fold one observation per hour in `hours` into copies of the state.
+
+        An observation at hour h touches only slot h, so folding a whole day
+        at once equals observing its hours one by one.
+        """
+        prior = self.averages[:, hours]
+        averages = self.averages.copy()
+        averages[:, hours] = np.where(self.observations[hours] == 0, observed,
+                                      self.theta * prior + (1.0 - self.theta) * observed)
+        predicted = self.predicted.copy()
+        predicted[:, hours, 1:] = self.predicted[:, hours, :-1]
+        predicted[:, hours, 0] = prior
+        actual = self.actual.copy()
+        actual[:, hours, 1:] = self.actual[:, hours, :-1]
+        actual[:, hours, 0] = observed
+        observations = self.observations.copy()
+        observations[hours] += 1
+        return replace(self, averages=averages, predicted=predicted, actual=actual,
+                       observations=observations)
 
     def observe(self, hour: int, load_kw: float, pv_kw: float) -> "LoadPvForecaster":
-        return LoadPvForecaster(load=self.load.observe(hour, load_kw),
-                                pv=self.pv.observe(hour, pv_kw))
+        """Fold one day's observation at `hour` into that hour's averages."""
+        hour = hour % HOURS_PER_DAY
+        return self._fold(slice(hour, hour + 1), np.array([[load_kw], [pv_kw]], dtype=float))
 
     def warm_up(self, days) -> "LoadPvForecaster":
         """Feed whole days (oldest first), one observation per hour."""
         current = self
         for day in days:
-            for hour in range(HOURS_PER_DAY):
-                current = current.observe(hour, float(day.load_kw[hour]),
-                                          float(day.pv_kw[hour]))
+            current = current._fold(slice(None), np.array([day.load_kw, day.pv_kw],
+                                                          dtype=float))
         return current
 
     def forecast_profile(self, start_hour: int,
                          length: int) -> tuple[np.ndarray, np.ndarray]:
-        """(load, pv) horizon forecasts as arrays of `length` hours."""
-        return (self.load.forecast(start_hour, length),
-                self.pv.forecast(start_hour, length))
+        """(load, pv) forecasts of `length` hours from `start_hour`, wrapping at
+        midnight, as new arrays.
+
+        The scaling factor comes from the start hour's recent history, so a
+        fresh same-day observation there bends the whole horizon.
+        """
+        start = start_hour % HOURS_PER_DAY
+        hours = np.arange(start, start + length) % HOURS_PER_DAY
+        if self.observations[start] == 0 or not self.observations[hours].all():
+            raise ColdForecasterError(
+                "forecaster has unobserved hours; warm it up on at least one full day")
+        factors = []
+        for predicted, actual in zip(self.predicted[:, start].tolist(),
+                                     self.actual[:, start].tolist()):
+            num = den = 0.0
+            for j in range(HISTORY_DEPTH):
+                weight = self.kappa ** (j + 1)
+                num += weight * (actual[j] / predicted[j] if predicted[j] > 0.0 else 1.0)
+                den += weight
+            factors.append(num / den)
+        values = self.averages[:, hours] * np.array(factors)[:, None]
+        load, pv = np.where(values > 0.0, values, 0.0)
+        return load, pv

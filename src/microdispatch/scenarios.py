@@ -25,7 +25,6 @@ class ScenarioSet:
 
     profiles: tuple[DayProfile, ...]
     probabilities: np.ndarray
-    role: str  # "day-ahead" or "real-time"
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
@@ -132,7 +131,7 @@ def build_dayahead_scenarios(training_days) -> ScenarioSet:
         DayProfile(load_kw=stat(loads, axis=0), pv_kw=stat(pvs, axis=0))
         for stat in (np.max, np.mean, np.min))
     probs = np.full(DAY_AHEAD_SCENARIOS, 1.0 / DAY_AHEAD_SCENARIOS)
-    return ScenarioSet(profiles=profiles, probabilities=probs, role="day-ahead")
+    return ScenarioSet(profiles=profiles, probabilities=probs)
 
 
 def build_realtime_scenarios(load_model: ClusterModel,
@@ -147,5 +146,5 @@ def build_realtime_scenarios(load_model: ClusterModel,
                    pv_kw=np.maximum(pv_model.heads[pv_order[i]], 0.0))
         for i in range(REAL_TIME_SCENARIOS))
     probs = np.full(REAL_TIME_SCENARIOS, 1.0 / REAL_TIME_SCENARIOS)
-    return ScenarioSet(profiles=profiles, probabilities=probs, role="real-time")
+    return ScenarioSet(profiles=profiles, probabilities=probs)
 

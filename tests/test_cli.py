@@ -91,6 +91,17 @@ class TestTrainDrl:
         assert "--episodes" in capsys.readouterr().err
         assert not weights.exists()
 
+    def test_negative_epsilon_decay_steps_is_usage_error(self, small_year, tmp_path,
+                                                         capsys):
+        weights = tmp_path / "w.json"
+        with pytest.raises(SystemExit) as exc_info:
+            run(["train-drl", "--data", str(small_year), "--episodes", "1",
+                 "--epsilon-decay-steps", "-5",
+                 "--out", str(weights), "--curve", str(tmp_path / "curve.csv")])
+        assert exc_info.value.code == 1
+        assert "--epsilon-decay-steps" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_same_seed_same_weight_hash(self, small_year, tmp_path):
         files = []
         for tag in ("a", "b"):
@@ -220,6 +231,22 @@ class TestSimulateCompareValidate:
             run(argv.format(data=small_year, out=out).split() + ["--train-months", months])
         assert exc_info.value.code == 1
         assert "--train-months" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "generate --seed -1 -o {out}",
+        "train-drl --data {data} --seed -1 --out {out} --curve {out}.csv",
+        "simulate --data {data} --controller mpc-stochastic --seed -3 --out {out}",
+        "simulate --data {data} --controller mpc-forecast --seed -3 --out {out}",
+        "compare --data {data} --controllers rule-based --seed -1 --out {out}",
+        "validate --data {data} --controllers rule-based --seed x1",
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, small_year, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(argv.format(data=small_year, out=out).split())
+        assert exc_info.value.code == 1
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_controller_rejected(self, small_year, tmp_path):

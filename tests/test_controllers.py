@@ -262,8 +262,7 @@ class TestModeEquivalences:
                 full_load[h:] = load_fc
                 full_pv[h:] = pv_fc
                 profile = DayProfile(load_kw=full_load, pv_kw=full_pv)
-                scen = ScenarioSet(profiles=(profile,) * 5,
-                                   probabilities=np.full(5, 0.2), role="real-time")
+                scen = ScenarioSet(profiles=(profile,) * 5, probabilities=np.full(5, 0.2))
                 ctx = RealTimeContext(
                     state=state, start_hour=h, hours=24 - h, commitment=commitment,
                     scenarios=scen, measured_load_kw=float(day.load_kw[h]),

@@ -154,6 +154,17 @@ class TestConfigJson:
         with pytest.raises(DataFormatError):
             load_config(path)
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+    def test_forecast_theta_outside_0_1_names_the_file(self, tmp_path, theta):
+        # the forecaster needs theta in (0, 1]; the config must refuse the rest
+        path = tmp_path / "config.json"
+        payload = config_payload()
+        payload["microgrid"]["forecast_theta"] = theta
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == f"{path}: forecast_theta must be in (0, 1]"
+
 
 class TestCommitmentJson:
     def test_round_trip_exact(self, tmp_path):

@@ -45,10 +45,9 @@ def flat_day(load, pv):
     return DayProfile(load_kw=np.full(24, float(load)), pv_kw=np.full(24, float(pv)))
 
 
-def scenario_set(profiles, role="day-ahead"):
+def scenario_set(profiles):
     n = len(profiles)
-    return ScenarioSet(profiles=tuple(profiles), probabilities=np.full(n, 1.0 / n),
-                       role=role)
+    return ScenarioSet(profiles=tuple(profiles), probabilities=np.full(n, 1.0 / n))
 
 
 def state_at(hour=0, soc=12500.0, dg_prev=0.0):
@@ -175,7 +174,7 @@ class TestRealtimeBuilder:
             ctx = RealTimeContext(
                 state=state_at(hour), start_hour=hour, hours=24 - hour,
                 commitment=Commitment.zero(),
-                scenarios=scenario_set(profiles, role="real-time"),
+                scenarios=scenario_set(profiles),
                 measured_load_kw=6100.0, measured_pv_kw=500.0)
             model = build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
             later = 23 - hour
@@ -267,7 +266,7 @@ class TestRealtimeBuilder:
                 ctx_s = RealTimeContext(
                     state=state_at(hour, soc, dg_prev), start_hour=hour, hours=24 - hour,
                     commitment=Commitment.zero(),
-                    scenarios=scenario_set([day] * 5, role="real-time"),
+                    scenarios=scenario_set([day] * 5),
                     measured_load_kw=float(day.load_kw[hour]),
                     measured_pv_kw=float(day.pv_kw[hour]))
                 model_s = build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC)
@@ -331,7 +330,7 @@ class TestRealtimeBuilder:
             ctx = RealTimeContext(
                 state=state_at(0), start_hour=0, hours=24,
                 commitment=Commitment.zero(),
-                scenarios=scenario_set([flat_day(6000, 1000)] * 5, role="real-time"),
+                scenarios=scenario_set([flat_day(6000, 1000)] * 5),
                 **measured)
             with pytest.raises(ModelBuildError):
                 build_realtime(ctx, TARIFF, CFG, STOCHASTIC)

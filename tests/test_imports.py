@@ -8,8 +8,7 @@ import pytest
 import microdispatch
 
 PACKAGE = pathlib.Path(microdispatch.__file__).parent
-# __init__ imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_FILES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 

@@ -147,4 +147,4 @@ class TestRealtimeScenarios:
 
     def test_scenario_set_validation(self):
         with pytest.raises(ValueError):
-            ScenarioSet(profiles=(day(1, 1),), probabilities=np.array([0.5]), role="x")
+            ScenarioSet(profiles=(day(1, 1),), probabilities=np.array([0.5]))
