@@ -1,7 +1,8 @@
 """Command-line surface: data generation, training, dispatch, comparison.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/solver failure, 3 validation
-failure. All file outputs are written atomically (temp file + rename).
+Exit codes: 0 success, 1 usage error, 2 runtime/solver failure, 3 a run's
+trajectory broke a constraint (a blackout is an outcome, not a violation).
+All file outputs are written atomically (temp file + rename).
 Outputs are a pure function of flags, input files, and seeds, except for the
 wall-clock timing columns, which are measurements by nature.
 """
@@ -31,6 +32,7 @@ from microdispatch.dataio import (
     TRAIN_MONTHS,
     DataFormatError,
     SyntheticParams,
+    gaps_to_perfect_pct,
     generate_dataset,
     load_config,
     save_commitment,
@@ -86,12 +88,24 @@ def _atomic_write(path, writer) -> None:
             os.unlink(tmp)
 
 
-def _load_setup(args):
-    if getattr(args, "config", None):
+def _load_inputs(args):
+    """The config and tariff (built in unless `--config`), with each SOC flag
+    checked against its ESS bounds; the profiles; the trailing
+    `--train-months` of training days and their day-ahead scenarios."""
+    if args.config:
         config, tariff = load_config(args.config)
     else:
         config, tariff = MicrogridConfig(), TariffSchedule()
-    return config, tariff
+    for name in ("soc", "initial_soc", "reset_soc", "planning_soc"):
+        value = getattr(args, name, None)
+        if isinstance(value, float) and not (
+                config.ess_energy_min <= value <= config.ess_energy_max):
+            raise DataFormatError(
+                f"--{name.replace('_', '-')} {value} outside the ESS bounds "
+                f"[{config.ess_energy_min:g}, {config.ess_energy_max:g}]")
+    days = read_profiles(args.data)
+    train = trailing_train_months(days, args.train_months)
+    return config, tariff, days, train, build_dayahead_scenarios(train)
 
 
 def _planning_soc(raw: str):
@@ -162,10 +176,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_day_ahead(args) -> int:
-    config, tariff = _load_setup(args)
-    days = read_profiles(args.data)
-    train = trailing_train_months(days, args.train_months)
-    scenarios = build_dayahead_scenarios(train)
+    config, tariff, _, _, scenarios = _load_inputs(args)
     soc = config.ess_energy_end if args.soc is None else args.soc
     commitment, solution = solve_day_ahead(scenarios, tariff, soc, config)
     _atomic_write(args.out, lambda tmp: save_commitment(commitment, tmp))
@@ -175,10 +186,7 @@ def cmd_day_ahead(args) -> int:
 
 
 def cmd_train_drl(args) -> int:
-    config, tariff = _load_setup(args)
-    days = read_profiles(args.data)
-    train = trailing_train_months(days, args.train_months)
-    scenarios = build_dayahead_scenarios(train)
+    config, tariff, _, train, scenarios = _load_inputs(args)
     commitment, _ = solve_day_ahead(scenarios, tariff, config.ess_energy_end, config)
     environment = TrainingEnvironment(train, tariff, config, commitment)
     dqn_config = DqnConfig(action_count=config.drl_action_count,
@@ -201,10 +209,13 @@ def cmd_train_drl(args) -> int:
 
 def _run_controllers(args, kinds):
     """Run `kinds` on what follows the 11-month training span, each trained on
-    the trailing `--train-months` of it, as `day-ahead` and `train-drl` are."""
-    config, tariff = _load_setup(args)
-    days = read_profiles(args.data)
-    train = trailing_train_months(days, args.train_months)
+    the trailing `--train-months` of it, as `day-ahead` and `train-drl` are.
+
+    Prints failures and each trajectory's `validate_trajectory` violations
+    (at most 20; a blackout hour's power-balance shortfall counts as a
+    blackout instead) to stderr, and returns the reports and the exit code.
+    """
+    config, tariff, days, train, scenarios = _load_inputs(args)
     _, test = split_train_test(days)
     if args.days is not None:
         test = test[:args.days]
@@ -214,17 +225,29 @@ def _run_controllers(args, kinds):
         planning_soc=args.planning_soc)
     controllers = {kind: _build_controller(kind, train, config, args) for kind in kinds}
     reports, failures = compare_controllers(controllers, test, tariff, config,
-                                            build_dayahead_scenarios(train), options)
-    return config, tariff, test, reports, failures
+                                            scenarios, options)
+    for kind, message in failures.items():
+        print(f"{kind}: FAILED ({message})", file=sys.stderr)
+    broken = False
+    for kind, report in reports.items():
+        violations = [v for v in validate_trajectory(report.trajectory(),
+                                                     report.commitments, config)
+                      if not (v.constraint == "power-balance"
+                              and report.records[v.step].outcome.blackout)]
+        if violations:
+            broken = True
+            print(f"{kind}: {len(violations)} constraint violations", file=sys.stderr)
+            for v in violations[:20]:
+                print(f"  step {v.step} hour {v.hour_of_day}: {v.constraint} "
+                      f"by {v.magnitude:.6g}", file=sys.stderr)
+    status = EXIT_RUNTIME if failures else EXIT_VALIDATION if broken else EXIT_OK
+    return reports, status
 
 
 def cmd_simulate(args) -> int:
-    if args.planning_soc is None:
-        args.planning_soc = "measured"  # single-controller runs track their own SOC
-    config, tariff, test, reports, failures = _run_controllers(args, [args.controller])
-    if failures:
-        print(failures[args.controller], file=sys.stderr)
-        return EXIT_RUNTIME
+    reports, status = _run_controllers(args, [args.controller])
+    if status == EXIT_RUNTIME:
+        return status
     report = reports[args.controller]
     if args.out:
         _atomic_write(args.out, lambda tmp: write_report_json(report, tmp))
@@ -233,13 +256,11 @@ def cmd_simulate(args) -> int:
     print(f"{args.controller}: {report.hours} h, total cost {report.total_cost:.2f}, "
           f"avg hourly {report.average_hourly_cost:.2f}, "
           f"blackouts {report.blackout_count}")
-    return EXIT_OK
+    return status
 
 
 def cmd_compare(args) -> int:
-    if args.planning_soc is None:
-        args.planning_soc = "contract-end"  # one shared commitment for everyone
-    config, tariff, test, reports, failures = _run_controllers(args, _controller_kinds(args))
+    reports, status = _run_controllers(args, _controller_kinds(args))
     os.makedirs(args.out, exist_ok=True)
     if reports:
         _atomic_write(os.path.join(args.out, "summary.csv"),
@@ -252,36 +273,16 @@ def cmd_compare(args) -> int:
         first = next(iter(reports.values()))
         _atomic_write(os.path.join(args.out, "commitment.json"),
                       lambda tmp: save_commitment(first.commitments[0], tmp))
-    header = f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} {'s/decision':>11s}"
-    print(header)
+    gaps = gaps_to_perfect_pct(reports)
+    print(f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} {'s/decision':>11s} "
+          f"{'blackout h':>10s} {'gap %':>8s}")
     for kind, report in reports.items():
+        gap = "" if gaps[kind] is None else f"{gaps[kind]:.2f}"
         print(f"{kind:16s} {report.average_hourly_cost:10.2f} "
               f"{report.average_hourly_dg_cost:11.2f} "
-              f"{report.mean_decision_seconds:11.4f}")
-    for kind, message in failures.items():
-        print(f"{kind}: FAILED ({message})", file=sys.stderr)
-    return EXIT_RUNTIME if failures else EXIT_OK
-
-
-def cmd_validate(args) -> int:
-    if args.planning_soc is None:
-        args.planning_soc = "contract-end"
-    config, tariff, test, reports, failures = _run_controllers(args, _controller_kinds(args))
-    bad = bool(failures)
-    for kind, message in failures.items():
-        print(f"{kind}: FAILED ({message})", file=sys.stderr)
-    for kind, report in reports.items():
-        violations = validate_trajectory(report.trajectory(), report.commitments,
-                                         config)
-        if violations:
-            bad = True
-            print(f"{kind}: {len(violations)} constraint violations")
-            for v in violations[:20]:
-                print(f"  step {v.step} hour {v.hour_of_day}: {v.constraint} "
-                      f"by {v.magnitude:.6g}")
-        else:
-            print(f"{kind}: clean ({report.hours} hours)")
-    return EXIT_VALIDATION if bad else EXIT_OK
+              f"{report.mean_decision_seconds:11.4f} "
+              f"{report.blackout_count:10d} {gap:>8s}")
+    return status
 
 
 def build_parser() -> _Parser:
@@ -289,18 +290,21 @@ def build_parser() -> _Parser:
                      description="Two-stage microgrid dispatch toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_run_flags(p):
+    def input_flags(p):
         p.add_argument("--data", required=True, help="profiles CSV")
         p.add_argument("--config", help="config JSON (defaults built in)")
-        p.add_argument("--seed", type=_int_in(0), default=0)
         p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
+
+    def run_flags(p):
+        input_flags(p)
+        p.add_argument("--seed", type=_int_in(0), default=0)
         p.add_argument("--days", type=_positive_int, default=None,
                        help="limit the test window to this many days")
         p.add_argument("--weights", help="trained DQN weight file")
         p.add_argument("--reset-soc", type=float, default=None,
                        help="force the battery to this SOC at each midnight")
         p.add_argument("--initial-soc", type=float, default=12500.0)
-        p.add_argument("--planning-soc", type=_planning_soc, default=None,
+        p.add_argument("--planning-soc", type=_planning_soc,
                        help="day-ahead start SOC: contract-end, measured, or kWh")
 
     p = sub.add_parser("generate", help="write a synthetic profiles CSV")
@@ -310,18 +314,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("day-ahead", help="solve one day-ahead commitment")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
+    input_flags(p)
     p.add_argument("--soc", type=float, default=None,
                    help="starting SOC (defaults to the contracted end SOC)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_day_ahead)
 
     p = sub.add_parser("train-drl", help="train the DQN policy")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--train-months", type=_train_months, default=TRAIN_MONTHS)
+    input_flags(p)
     p.add_argument("--episodes", type=_int_in(0), default=None,
                    help="day-episodes to run (default: one pass over the data)")
     p.add_argument("--epsilon-decay-steps", type=_int_in(0), default=50_000)
@@ -331,23 +331,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_drl)
 
     p = sub.add_parser("simulate", help="run one controller over the test month")
-    common_run_flags(p)
+    run_flags(p)
     p.add_argument("--controller", required=True, choices=CONTROLLER_KINDS)
     p.add_argument("--out", help="report JSON")
     p.add_argument("--trace", help="hourly trace CSV")
-    p.set_defaults(func=cmd_simulate)
+    # a single controller tracks its own SOC
+    p.set_defaults(func=cmd_simulate, planning_soc=PLANNING_MEASURED)
 
     p = sub.add_parser("compare", help="run several controllers, shared commitments")
-    common_run_flags(p)
+    run_flags(p)
     p.add_argument("--controllers", required=True,
                    help="comma-separated controller kinds")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("validate", help="run controllers and check every constraint")
-    common_run_flags(p)
-    p.add_argument("--controllers", required=True)
-    p.set_defaults(func=cmd_validate)
+    # one shared commitment for every controller
+    p.set_defaults(func=cmd_compare, planning_soc=PLANNING_CONTRACT_END)
     return parser
 
 

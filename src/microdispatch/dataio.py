@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from microdispatch.controllers import SimulationReport
+from microdispatch.controllers import MPC_PERFECT, SimulationReport
 from microdispatch.domain import (
     HOURS_PER_DAY,
     Commitment,
@@ -46,28 +46,18 @@ class DataFormatError(ValueError):
     """Malformed interchange file; the message carries the location."""
 
 
+LOAD_BAND_KW = (5000.0, 10000.0)  # hourly load stays inside this band
+PV_NAMEPLATE_KW = 15000.0
+SUNNY_WEIGHT = 0.55          # share of sunny days; the rest are cloudy
+CLOUD_RATE_SUNNY = 0.12      # chance that a daylight hour loses irradiance
+CLOUD_RATE_CLOUDY = 0.45
+CLOUD_DEPTH = (0.15, 0.85)   # range of the irradiance share a dropout removes
+
+
 @dataclass(frozen=True)
 class SyntheticParams:
     seed: int = 0
     days: int = 365
-    load_band: tuple = (5000.0, 10000.0)
-    pv_nameplate_kw: float = 15000.0
-    sunny_weight: float = 0.55
-    cloud_rate_sunny: float = 0.12
-    cloud_rate_cloudy: float = 0.45
-    cloud_depth: tuple = (0.15, 0.85)
-
-    def __post_init__(self):
-        lo, hi = self.load_band
-        if not (0 < lo < hi):
-            raise ValueError("load band must be positive and ordered")
-        if self.pv_nameplate_kw <= 0:
-            raise ValueError("pv nameplate must be positive")
-        if not (0.0 <= self.sunny_weight <= 1.0):
-            raise ValueError("day-type weights must form a mixture")
-        d_lo, d_hi = self.cloud_depth
-        if not (0.0 <= d_lo <= d_hi <= 1.0):
-            raise ValueError("cloud depth range must sit inside [0, 1]")
 
 
 def _clear_sky(hours: np.ndarray) -> np.ndarray:
@@ -81,7 +71,7 @@ def generate_dataset(params: SyntheticParams) -> list[DayProfile]:
     """Seeded synthetic year of paired daily load/PV profiles."""
     rng = np.random.default_rng(params.seed)
     hours = np.arange(HOURS_PER_DAY, dtype=float)
-    lo, hi = params.load_band
+    lo, hi = LOAD_BAND_KW
     band = hi - lo
     diurnal = np.exp(-((hours - 13.5) / 4.8) ** 2)
     clear = _clear_sky(hours)
@@ -95,14 +85,13 @@ def generate_dataset(params: SyntheticParams) -> list[DayProfile]:
                 + rng.normal(0.0, 0.02 * band, size=HOURS_PER_DAY))
         load = np.clip(load, lo, hi)
 
-        sunny = rng.random() < params.sunny_weight
+        sunny = rng.random() < SUNNY_WEIGHT
         pv_scale = rng.uniform(0.75, 1.0) if sunny else rng.uniform(0.25, 0.60)
-        cloud_rate = params.cloud_rate_sunny if sunny else params.cloud_rate_cloudy
+        cloud_rate = CLOUD_RATE_SUNNY if sunny else CLOUD_RATE_CLOUDY
         dropout = np.ones(HOURS_PER_DAY)
         hit = daylight & (rng.random(HOURS_PER_DAY) < cloud_rate)
-        dropout[hit] = 1.0 - rng.uniform(*params.cloud_depth, size=int(hit.sum()))
-        pv = np.clip(params.pv_nameplate_kw * pv_scale * clear * dropout,
-                     0.0, params.pv_nameplate_kw)
+        dropout[hit] = 1.0 - rng.uniform(*CLOUD_DEPTH, size=int(hit.sum()))
+        pv = np.clip(PV_NAMEPLATE_KW * pv_scale * clear * dropout, 0.0, PV_NAMEPLATE_KW)
         days.append(DayProfile(load_kw=load, pv_kw=pv))
     return days
 
@@ -296,11 +285,23 @@ def write_daywise_csv(reports: dict[str, SimulationReport], path) -> None:
             writer.writerow([d] + [repr(float(reports[n].daily_costs[d])) for n in names])
 
 
+def gaps_to_perfect_pct(reports: dict[str, SimulationReport]) -> dict[str, float | None]:
+    """Each total cost above mpc-perfect's, in % of |mpc-perfect's total|;
+    all None when mpc-perfect has no report or a zero total."""
+    perfect = reports.get(MPC_PERFECT)
+    if perfect is None or perfect.total_cost == 0:
+        return dict.fromkeys(reports)
+    return {name: (report.total_cost - perfect.total_cost) / abs(perfect.total_cost) * 100
+            for name, report in reports.items()}
+
+
 def write_summary_csv(reports: dict[str, SimulationReport], path) -> None:
+    gaps = gaps_to_perfect_pct(reports)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["controller", "average_hourly_cost", "average_hourly_dg_cost",
-                         "blackout_count", "curtailed_kwh", "mean_decision_seconds"])
+                         "blackout_count", "curtailed_kwh", "mean_decision_seconds",
+                         "gap_to_perfect_pct"])
         for name, report in reports.items():
             writer.writerow([
                 name,
@@ -309,4 +310,5 @@ def write_summary_csv(reports: dict[str, SimulationReport], path) -> None:
                 report.blackout_count,
                 f"{report.curtailed_kwh:.3f}",
                 f"{report.mean_decision_seconds:.6f}",
+                "" if gaps[name] is None else f"{gaps[name]:.6f}",
             ])

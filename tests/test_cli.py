@@ -1,9 +1,13 @@
+import csv
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from microdispatch import cli, controllers
 from microdispatch.cli import main
+from microdispatch.domain import DispatchSetpoint
 
 
 def run(argv):
@@ -148,13 +152,19 @@ class TestSimulateCompareValidate:
         assert (out / "trace_rule-based.csv").exists()
         assert (out / "trace_mpc-perfect.csv").exists()
         assert (out / "commitment.json").exists()
+        rows = {r["controller"]: r for r in csv.DictReader(summary)}
+        assert float(rows["mpc-perfect"]["gap_to_perfect_pct"]) == 0.0
+        assert float(rows["rule-based"]["gap_to_perfect_pct"]) > 0.0
 
     def test_single_controller_compare(self, small_year, tmp_path):
         out = tmp_path / "cmp1"
         assert run(["compare", "--data", str(small_year),
                     "--controllers", "rule-based", "--days", "1",
                     "--out", str(out)]) == 0
-        assert len((out / "summary.csv").read_text().splitlines()) == 2
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 2
+        # no mpc-perfect report, so no gap to it
+        assert next(csv.DictReader(summary))["gap_to_perfect_pct"] == ""
 
     def test_drl_without_weights_fails(self, small_year, tmp_path):
         assert run(["simulate", "--data", str(small_year),
@@ -194,19 +204,91 @@ class TestSimulateCompareValidate:
         assert exc_info.value.code == 1
         assert "--planning-soc" in capsys.readouterr().err
 
-    def test_validate_clean_controllers(self, small_year):
-        assert run(["validate", "--data", str(small_year),
-                    "--controllers", "rule-based,mpc-perfect", "--days", "1"]) == 0
+    def test_compare_clean_controllers(self, small_year, tmp_path, capsys):
+        assert run(["compare", "--data", str(small_year),
+                    "--controllers", "rule-based,mpc-perfect", "--days", "1",
+                    "--out", str(tmp_path / "cmp")]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_validate_without_controllers_is_an_error(self, small_year, capsys):
-        assert run(["validate", "--data", str(small_year), "--controllers", " , "]) == 2
+    def test_compare_without_controllers_is_an_error(self, small_year, tmp_path, capsys):
+        assert run(["compare", "--data", str(small_year), "--controllers", " , ",
+                    "--out", str(tmp_path / "cmp")]) == 2
         assert "--controllers must name at least one controller" in capsys.readouterr().err
+
+    def test_validate_subcommand_is_gone(self, small_year, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["validate", "--data", str(small_year), "--controllers", "rule-based"])
+        assert exc_info.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --data {data} --controller rule-based --days 1",
+        "compare --data {data} --controllers rule-based --days 1 --out {out}",
+    ])
+    def test_a_broken_trajectory_exits_3(self, small_year, tmp_path, capsys,
+                                         monkeypatch, argv):
+        real_step = controllers.step_plant
+
+        def drifting_step(*step_args):
+            outcome = real_step(*step_args)
+            return dataclasses.replace(outcome, soc_kwh=outcome.soc_kwh + 1.0)
+
+        monkeypatch.setattr(controllers, "step_plant", drifting_step)
+        assert run(argv.format(data=small_year, out=tmp_path / "cmp").split()) == 3
+        err = capsys.readouterr().err
+        assert "rule-based: 24 constraint violations" in err
+        assert "soc-recursion" in err
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --data {data} --controller rule-based --days 1",
+        "compare --data {data} --controllers rule-based --days 1 --out {out}",
+    ])
+    def test_blackouts_are_reported_not_violations(self, small_year, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        class Idle:
+            kind = "idle"
+
+            def decide(self, state, day, commitment, tariff, config):
+                return DispatchSetpoint()
+
+        monkeypatch.setattr(cli, "_build_controller", lambda *_: Idle())
+        out = tmp_path / "cmp"
+        assert run(argv.format(data=small_year, out=out).split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv.startswith("simulate"):
+            blackouts = int(captured.out.rsplit("blackouts ", 1)[1])
+        else:
+            blackouts = int(next(csv.DictReader(
+                (out / "summary.csv").read_text().splitlines()))["blackout_count"])
+        assert blackouts > 0
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("simulate --data {data} --controller rule-based --initial-soc 99999",
+         "--initial-soc 99999.0"),
+        ("compare --data {data} --controllers rule-based --reset-soc 100 --out {out}",
+         "--reset-soc 100.0"),
+        ("compare --data {data} --controllers rule-based --planning-soc 25000.5 "
+         "--out {out}", "--planning-soc 25000.5"),
+        ("day-ahead --data {data} --soc -5 --out {out}", "--soc -5.0"),
+    ])
+    def test_soc_flag_outside_the_ess_bounds_is_named(self, small_year, tmp_path, capsys,
+                                                      monkeypatch, argv, flag):
+        def no_solve(*_, **__):
+            raise AssertionError("solved before checking the SOC flags")
+
+        monkeypatch.setattr(cli, "solve_day_ahead", no_solve)
+        monkeypatch.setattr(cli, "compare_controllers", no_solve)
+        out = tmp_path / "out"
+        assert run(argv.format(data=small_year, out=out).split()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} outside the ESS bounds [2500, 25000]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         "generate --days 0 -o {out}",
         "simulate --data {data} --controller rule-based --days -2",
         "compare --data {data} --controllers rule-based --days 0 --out {out}",
-        "validate --data {data} --controllers rule-based --days -2",
+        "compare --data {data} --controllers rule-based --days -2 --out {out}",
     ])
     def test_days_must_be_positive(self, small_year, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -222,7 +304,6 @@ class TestSimulateCompareValidate:
         "train-drl --data {data} --out {out} --curve {out}.csv",
         "simulate --data {data} --controller rule-based",
         "compare --data {data} --controllers rule-based --out {out}",
-        "validate --data {data} --controllers rule-based",
     ])
     def test_train_months_outside_1_to_11_is_usage_error(self, small_year, tmp_path,
                                                           capsys, argv, months):
@@ -239,7 +320,7 @@ class TestSimulateCompareValidate:
         "simulate --data {data} --controller mpc-stochastic --seed -3 --out {out}",
         "simulate --data {data} --controller mpc-forecast --seed -3 --out {out}",
         "compare --data {data} --controllers rule-based --seed -1 --out {out}",
-        "validate --data {data} --controllers rule-based --seed x1",
+        "compare --data {data} --controllers rule-based --seed x1 --out {out}",
     ])
     def test_seed_must_be_a_nonnegative_integer(self, small_year, tmp_path, capsys, argv):
         out = tmp_path / "out"

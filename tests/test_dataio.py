@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from microdispatch.dataio import (
+    LOAD_BAND_KW,
+    PV_NAMEPLATE_KW,
     DataFormatError,
     SyntheticParams,
     generate_dataset,
@@ -26,12 +28,11 @@ class TestGenerator:
             assert np.all(day.pv_kw[20:] == 0.0)
 
     def test_bands_hold_over_a_year(self):
-        params = SyntheticParams(seed=7, days=365)
-        for day in generate_dataset(params):
-            assert (day.load_kw >= params.load_band[0]).all()
-            assert (day.load_kw <= params.load_band[1]).all()
+        for day in generate_dataset(SyntheticParams(seed=7, days=365)):
+            assert (day.load_kw >= LOAD_BAND_KW[0]).all()
+            assert (day.load_kw <= LOAD_BAND_KW[1]).all()
             assert (day.pv_kw >= 0).all()
-            assert (day.pv_kw <= params.pv_nameplate_kw).all()
+            assert (day.pv_kw <= PV_NAMEPLATE_KW).all()
 
     def test_seeded_determinism(self):
         a = generate_dataset(SyntheticParams(seed=3, days=20))
@@ -48,12 +49,6 @@ class TestGenerator:
         noon = np.array([d.pv_kw[12:14].max() for d in days])
         assert noon.max() > 12000.0
         assert noon.min() < 3000.0
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticParams(load_band=(10000.0, 5000.0))
-        with pytest.raises(ValueError):
-            SyntheticParams(cloud_depth=(0.9, 0.2))
 
 
 class TestSplits:
