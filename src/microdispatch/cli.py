@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+import time
 
 from microdispatch.controllers import (
     CONTROLLER_KINDS,
@@ -178,10 +179,13 @@ def cmd_generate(args) -> int:
 def cmd_day_ahead(args) -> int:
     config, tariff, _, _, scenarios = _load_inputs(args)
     soc = config.ess_energy_end if args.soc is None else args.soc
+    started = time.perf_counter()
     commitment, solution = solve_day_ahead(scenarios, tariff, soc, config)
+    seconds = time.perf_counter() - started
     _atomic_write(args.out, lambda tmp: save_commitment(commitment, tmp))
     print(f"commitment written to {args.out}; planned objective "
-          f"{solution.objective:.2f} ({solution.node_count} nodes)")
+          f"{solution.objective:.2f} ({solution.node_count} nodes, "
+          f"{solution.iterations} simplex iterations, {seconds:.1f} s)")
     return EXIT_OK
 
 
@@ -274,6 +278,10 @@ def cmd_compare(args) -> int:
         _atomic_write(os.path.join(args.out, "commitment.json"),
                       lambda tmp: save_commitment(first.commitments[0], tmp))
     gaps = gaps_to_perfect_pct(reports)
+    if args.reset_soc is None:
+        print("carry-over mode: gap % is not a bound")
+    else:
+        print(f"reset mode: SOC {args.reset_soc:g} kWh, generator off at each midnight")
     print(f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} {'s/decision':>11s} "
           f"{'blackout h':>10s} {'gap %':>8s}")
     for kind, report in reports.items():

@@ -299,9 +299,9 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
     (cached per distinct value, so shared-commitment comparisons reuse one
     solve) and fixes the day's commitment; each hour the controller decides
     and the plant realizes. With `reset_soc_kwh` set, the battery state is
-    forced to that value at every midnight; the generator state always
-    carries over. Fatal controller errors raise SimulationAborted with the
-    partial report attached.
+    forced to that value and the generator switched off at every midnight;
+    without it both carry over. Fatal controller errors raise
+    SimulationAborted with the partial report attached.
     """
     if len(days) == 0:
         raise ValueError("empty dataset")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -54,12 +55,15 @@ class TestGenerate:
 
 
 class TestDayAhead:
-    def test_commitment_file_written(self, small_year, tmp_path):
+    def test_commitment_file_written(self, small_year, tmp_path, capsys):
         out = tmp_path / "commitment.json"
         assert run(["day-ahead", "--data", str(small_year), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["grid_buy_kw"]) == 24
         assert len(payload["buying"]) == 24
+        work = re.search(r"\((\d+) nodes, (\d+) simplex iterations, \d+\.\d s\)$",
+                         capsys.readouterr().out.strip())
+        assert work and int(work[2]) > 0
 
     def test_missing_data_file_is_runtime_error(self, tmp_path):
         out = tmp_path / "commitment.json"
@@ -203,6 +207,18 @@ class TestSimulateCompareValidate:
                  "--planning-soc", "foo"])
         assert exc_info.value.code == 1
         assert "--planning-soc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, line", [
+        ([], "carry-over mode: gap % is not a bound"),
+        (["--reset-soc", "12500"],
+         "reset mode: SOC 12500 kWh, generator off at each midnight"),
+    ])
+    def test_compare_names_its_soc_mode(self, small_year, tmp_path, capsys, flags, line):
+        assert run(["compare", "--data", str(small_year), "--controllers", "rule-based",
+                    "--days", "1", "--out", str(tmp_path / "cmp"), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            line, f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} "
+                  f"{'s/decision':>11s} {'blackout h':>10s} {'gap %':>8s}"]
 
     def test_compare_clean_controllers(self, small_year, tmp_path, capsys):
         assert run(["compare", "--data", str(small_year),

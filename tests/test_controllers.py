@@ -286,6 +286,7 @@ class TestCompare:
         reports, failures = compare_controllers(
             {"mpc-perfect": MpcController(PERFECT),
              "rule-based": RuleBasedController(),
+             "mpc-forecast": MpcController(FORECAST, forecaster=pipeline["forecaster"]),
              "mpc-stochastic": MpcController(STOCHASTIC, scenarios=pipeline["scen_r"])},
             pipeline["test"][:2], TARIFF, CFG, pipeline["scen_d"], options)
         assert not failures
@@ -293,7 +294,8 @@ class TestCompare:
         for name, rep in reports.items():
             for ca, cb in zip(rep.commitments, base.commitments):
                 assert ca is cb  # literally the same cached object
-        for name in ("rule-based", "mpc-stochastic"):
+            assert rep.blackout_count == 0, name
+        for name in ("rule-based", "mpc-forecast", "mpc-stochastic"):
             assert (reports[name].daily_costs
                     >= base.daily_costs - 1e-6).all(), name
 

@@ -14,12 +14,20 @@ from oracles import (
     random_milp,
     vertex_enumeration_minimum,
 )
+from scipy.optimize._highspy import _core as highs_core
 
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
-from microdispatch.dispatch import PERFECT, RealTimeContext, build_realtime, solve_day_ahead
+from microdispatch.dispatch import (
+    PERFECT,
+    RealTimeContext,
+    build_day_ahead,
+    build_realtime,
+    solve_day_ahead,
+)
 from microdispatch.domain import Commitment, MicrogridConfig, MicrogridState, TariffSchedule
 from microdispatch.milp import (
     REQUIRED_HIGHS_METHODS,
+    _OPTIONS,
     LinearProgram,
     SolverError,
     SolveStatus,
@@ -262,7 +270,7 @@ class TestSolveMilp:
             assert a.node_count == b.node_count
 
 
-def test_counts_are_highs_nodes_and_simplex_iterations():
+def test_counts_are_highs_nodes_and_simplex_iterations(monkeypatch):
     # a perfect hour-0 window: its LP relaxation takes real simplex work
     day = generate_dataset(SyntheticParams(seed=5, days=1))[0]
     state = MicrogridState(hour_of_day=0, soc_kwh=12500.0, soc_midnight_kwh=12500.0)
@@ -283,19 +291,41 @@ def test_counts_are_highs_nodes_and_simplex_iterations():
             rows[r, idx] += coef
     rels = np.array([rel for _, rel, _ in model.rows])
     rhs = np.array([b for _, _, b in model.rows])
+    # scipy takes `presolve` as a bool and hands HiGHS every other key its
+    # HighsOptions binding has. The binding lacks `mip_allow_restart`; on this
+    # window, solved at its root, the restart changes no count.
+    options = {name: value for name, value in _OPTIONS.items()
+               if hasattr(highs_core.HighsOptions(), name)}
+    assert set(_OPTIONS) - set(options) == {"mip_allow_restart"}
+    options["presolve"] = _OPTIONS["presolve"] == "on"
+    monkeypatch.setitem(_OPTIONS, "mip_allow_restart", True)
+    restarted = solve_milp(model)
+    assert (restarted.node_count, restarted.iterations) == (sol.node_count, sol.iterations)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)  # "passed to HiGHS verbatim"
+        warnings.simplefilter("error", scipy.optimize.OptimizeWarning)  # an option dropped
         reference = scipy.optimize.milp(
             c, integrality=np.array(model.is_binary, dtype=int),
             bounds=scipy.optimize.Bounds(model.lower, model.upper),
             constraints=scipy.optimize.LinearConstraint(
                 rows, np.where(rels == "<=", -np.inf, rhs), np.where(rels == ">=", np.inf, rhs)),
-            options={"mip_rel_gap": 0.0, "primal_feasibility_tolerance": 1e-9,
-                     "dual_feasibility_tolerance": 1e-9, "mip_feasibility_tolerance": 1e-9,
-                     "mip_heuristic_run_feasibility_jump": False})
+            options=options)
     assert reference.status == 0
     assert sol.node_count == reference.mip_node_count >= 1
     assert sol.objective == pytest.approx(reference.fun + model.objective_offset, rel=1e-9)
+
+
+def test_day_ahead_work_bound():
+    # the benchmark's contract-end day-ahead model; HiGHS is deterministic, so
+    # its simplex iterations repeat exactly (7223 with the root restart and
+    # RINS on)
+    train, _ = split_train_test(generate_dataset(SyntheticParams(seed=0)))
+    model = build_day_ahead(build_dayahead_scenarios(train), TariffSchedule(), 2500.0,
+                            MicrogridConfig())
+    sol = solve_milp(model)
+    assert sol.ok
+    assert sol.objective == pytest.approx(21180.9431628366, rel=1e-9)
+    assert sol.iterations <= 4500
 
 
 def test_lp_counts_no_nodes():
