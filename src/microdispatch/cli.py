@@ -47,7 +47,12 @@ from microdispatch.dataio import (
     read_profiles,
 )
 from microdispatch.dispatch import FORECAST, PERFECT, STOCHASTIC, solve_day_ahead
-from microdispatch.domain import MicrogridConfig, TariffSchedule, validate_trajectory
+from microdispatch.domain import (
+    HOURS_PER_DAY,
+    MicrogridConfig,
+    TariffSchedule,
+    validate_trajectory,
+)
 from microdispatch.drl import (
     DqnConfig,
     DqnPolicy,
@@ -196,7 +201,9 @@ def cmd_train_drl(args) -> int:
     dqn_config = DqnConfig(action_count=config.drl_action_count,
                            episodes=args.episodes, seed=args.seed,
                            epsilon_decay_steps=args.epsilon_decay_steps)
+    started = time.perf_counter()
     policy, curve = train_agent(environment, dqn_config)
+    seconds = time.perf_counter() - started
     _atomic_write(args.out, lambda tmp: policy.save(tmp))
 
     def write_curve(tmp):
@@ -206,8 +213,9 @@ def cmd_train_drl(args) -> int:
                 fh.write(f"{i},{value!r}\n")
 
     _atomic_write(args.curve, write_curve)
-    print(f"trained {len(curve)} episodes over {len(train)} days; "
-          f"weights -> {args.out}, curve -> {args.curve}")
+    steps = len(curve) * HOURS_PER_DAY
+    print(f"trained {len(curve)} episodes over {len(train)} days in {seconds:.1f} s "
+          f"({steps / seconds:.0f} steps/s); weights -> {args.out}, curve -> {args.curve}")
     return EXIT_OK
 
 

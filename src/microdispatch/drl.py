@@ -11,12 +11,26 @@ The trained artifact is a JSON weight file (format version 2): the layer
 sizes, weights and biases. Loading refuses any other format version and
 weights whose shapes disagree with the declared layer sizes. The
 observation scales are module constants, not part of the file.
+
+Training runs its matrix products on one BLAS thread. At batch 64 the
+64x128x128 products lie above OpenBLAS's threading threshold, and handing
+them to a second thread costs more than it saves. `train_agent` sets
+numpy's OpenBLAS to one thread for the calling thread only, through its
+`openblas_set_num_threads_local`, and restores the previous count when it
+returns or raises. Where numpy links another BLAS, or its OpenBLAS lacks
+that function, training runs at the library's default thread count and
+gives the same results: the thread count changes how fast the products
+run, not what they return.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -94,9 +108,10 @@ class MlpNetwork:
         """Activations per layer; the last entry is the linear output."""
         activations = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w + b
+            z = activations[-1] @ w
+            z += b
             if i < len(self.weights) - 1:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             activations.append(z)
         return activations
 
@@ -173,24 +188,27 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
 
     activations = network.forward_batch(states)
     q = activations[-1]
-    taken = q[np.arange(len(actions)), actions]
-    diff = taken - targets
+    rows = np.arange(len(actions))
+    diff = q[rows, actions] - targets
     loss = float(np.mean(diff ** 2))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite TD loss; training diverged")
 
-    # backpropagate d(loss)/d(output) through the rectifier stack
-    grad_out = np.zeros_like(q)
-    grad_out[np.arange(len(actions)), actions] = 2.0 * diff / len(actions)
-    delta = grad_out
+    # backpropagate d(loss)/d(output) through the rectifier stack; the
+    # gradients are scaled and subtracted in place, with each element
+    # rounded as in `w -= lr * grad`
+    delta = np.zeros_like(q)
+    delta[rows, actions] = 2.0 * diff / len(actions)
     for layer in range(len(network.weights) - 1, -1, -1):
-        a_prev = activations[layer]
-        grad_w = a_prev.T @ delta
+        grad_w = activations[layer].T @ delta
         grad_b = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ network.weights[layer].T) * (activations[layer] > 0.0)
-        network.weights[layer] -= config.learning_rate * grad_w
-        network.biases[layer] -= config.learning_rate * grad_b
+            delta = delta @ network.weights[layer].T
+            delta *= activations[layer] > 0.0
+        grad_w *= config.learning_rate
+        network.weights[layer] -= grad_w
+        grad_b *= config.learning_rate
+        network.biases[layer] -= grad_b
     return loss
 
 
@@ -327,7 +345,11 @@ class TrainingEnvironment:
 
 def train_agent(environment: TrainingEnvironment,
                 config: DqnConfig) -> tuple[DqnPolicy, list[float]]:
-    """Run DQN over day-long episodes; returns the policy and reward curve."""
+    """Run DQN over day-long episodes; returns the policy and reward curve.
+
+    The loop runs on one BLAS thread where numpy's OpenBLAS allows it, with
+    the same results either way (see the module docstring).
+    """
     if config.action_count != environment.config.drl_action_count:
         raise ValueError(f"DqnConfig.action_count {config.action_count} differs from "
                          f"MicrogridConfig.drl_action_count "
@@ -347,31 +369,65 @@ def train_agent(environment: TrainingEnvironment,
     divergence_bound = (environment.reward_magnitude_bound()
                         / max(1.0 - config.discount, 1e-6))
     obs = environment.observe()
-    for _ in range(episodes):
-        episode_reward = 0.0
-        day_finished = False
-        while not day_finished:
-            epsilon = _epsilon(step_count, config)
-            if rng.random() < epsilon:
-                action = int(rng.integers(config.action_count))
-            else:
-                action = int(np.argmax(forward(network, obs)))
-            step_reward, day_finished = environment.step(action)
-            episode_reward += step_reward
-            # day boundaries delimit reward accounting only: the battery and
-            # generator carry over, so the value function must bootstrap
-            # straight through midnight
-            next_obs = environment.observe()
-            replay.push(obs, action, step_reward, next_obs)
-            obs = next_obs
-            step_count += 1
-            if len(replay) >= config.batch_size:
-                train_step(network, target, replay.sample(config.batch_size, rng),
-                           config, target_bound=divergence_bound)
-            if step_count % TARGET_SYNC_INTERVAL == 0:
-                target = network.copy()
-        curve.append(episode_reward)
+    with _one_blas_thread():
+        for _ in range(episodes):
+            episode_reward = 0.0
+            day_finished = False
+            while not day_finished:
+                epsilon = _epsilon(step_count, config)
+                if rng.random() < epsilon:
+                    action = int(rng.integers(config.action_count))
+                else:
+                    action = int(np.argmax(forward(network, obs)))
+                step_reward, day_finished = environment.step(action)
+                episode_reward += step_reward
+                # day boundaries delimit reward accounting only: the battery and
+                # generator carry over, so the value function must bootstrap
+                # straight through midnight
+                next_obs = environment.observe()
+                replay.push(obs, action, step_reward, next_obs)
+                obs = next_obs
+                step_count += 1
+                if len(replay) >= config.batch_size:
+                    train_step(network, target, replay.sample(config.batch_size, rng),
+                               config, target_bound=divergence_bound)
+                if step_count % TARGET_SYNC_INTERVAL == 0:
+                    target = network.copy()
+            curve.append(episode_reward)
     return DqnPolicy(network=network), curve
+
+
+@functools.cache
+def _numpy_openblas():
+    """numpy's own OpenBLAS, the copy that runs `@`, or None where numpy
+    links another BLAS or its OpenBLAS lacks
+    `openblas_set_num_threads_local`; looked up on first use."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            library = ctypes.CDLL(str(path))
+            setter = library.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return library
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread. The count is set for
+    the calling thread only, and the setter returns the previous count."""
+    library = _numpy_openblas()
+    if library is None:
+        yield
+        return
+    previous = library.openblas_set_num_threads_local(1)
+    try:
+        yield
+    finally:
+        library.openblas_set_num_threads_local(previous)
 
 
 def _epsilon(step: int, config: DqnConfig) -> float:

@@ -72,6 +72,14 @@ class TestDayAhead:
 
 
 class TestTrainDrl:
+    def test_prints_training_time_and_rate(self, small_year, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        assert run(["train-drl", "--data", str(small_year), "--episodes", "2",
+                    "--out", str(weights), "--curve", str(tmp_path / "curve.csv")]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.match(r"trained 2 episodes over \d+ days in \d+\.\d s "
+                        r"\(\d+ steps/s\); weights -> ", line)
+
     def test_zero_episode_smoke(self, small_year, tmp_path):
         weights = tmp_path / "w.json"
         curve = tmp_path / "curve.csv"

@@ -1,7 +1,11 @@
+import ctypes
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+import microdispatch.drl as drl
 
 from microdispatch.domain import (
     Commitment,
@@ -308,6 +312,95 @@ class TestTrainAgent:
         assert c1 == c2
         for a, b in zip(p1.network.weights, p2.network.weights):
             assert np.array_equal(a, b)
+
+
+#: a 3-episode seed-7 run of the default network at batch 64, recorded before
+#: training ran on one BLAS thread, with numpy's OpenBLAS on its SkylakeX
+#: kernel (other kernels may round the products differently)
+RECORDED_KERNEL = b"SkylakeX"
+RECORDED_SHA256 = "5a1f7568a8707c72ad7b496e7a03d1fb5bb3faeec1c1309152e4f3b102229276"
+RECORDED_CURVE = "[-119.3605263157895, -123.88157894736841, -111.9874107012684]"
+
+
+def weights_sha256(network):
+    digest = hashlib.sha256()
+    for w, b in zip(network.weights, network.biases):
+        digest.update(w.tobytes())
+        digest.update(b.tobytes())
+    return digest.hexdigest()
+
+
+def openblas_kernel():
+    library = drl._numpy_openblas()
+    corename = getattr(library, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename()
+
+
+def recorded_run():
+    policy, curve = train_agent(tiny_environment(), DqnConfig(episodes=3, seed=7))
+    return weights_sha256(policy.network), repr(curve)
+
+
+class TestTrainingBitForBit:
+    def test_matches_the_run_recorded_on_threaded_blas(self):
+        if openblas_kernel() != RECORDED_KERNEL:
+            pytest.skip("the recorded digest holds for OpenBLAS's SkylakeX kernel")
+        assert recorded_run() == (RECORDED_SHA256, RECORDED_CURVE)
+
+    def test_one_blas_thread_changes_no_bit(self, monkeypatch):
+        one_thread = recorded_run()
+        monkeypatch.setattr(drl, "_numpy_openblas", lambda: None)
+        assert recorded_run() == one_thread
+
+
+def blas_threads(library):
+    """The calling thread's BLAS thread count, read by setting it back."""
+    count = library.openblas_set_num_threads_local(1)
+    library.openblas_set_num_threads_local(count)
+    return count
+
+
+class TestBlasThreadScope:
+    def test_hook_found_on_scipy_openblas(self):
+        if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+            pytest.skip("numpy links another BLAS")
+        assert drl._numpy_openblas() is not None
+
+    @pytest.fixture
+    def library(self):
+        library = drl._numpy_openblas()
+        if library is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        original = library.openblas_set_num_threads_local(2)
+        yield library
+        library.openblas_set_num_threads_local(original)
+
+    def test_training_runs_on_one_thread_and_restores_the_count(self, library,
+                                                                monkeypatch):
+        seen = []
+        inner = drl.train_step
+
+        def counting_step(*args, **kwargs):
+            seen.append(blas_threads(library))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(drl, "train_step", counting_step)
+        train_agent(tiny_environment(), DqnConfig(episodes=1, seed=0, batch_size=8))
+        assert seen and set(seen) == {1}
+        assert blas_threads(library) == 2
+
+    def test_count_restored_when_training_raises(self, library, monkeypatch):
+        def diverging_step(*args, **kwargs):
+            raise FloatingPointError("training diverged")
+
+        monkeypatch.setattr(drl, "train_step", diverging_step)
+        with pytest.raises(FloatingPointError):
+            train_agent(tiny_environment(), DqnConfig(episodes=1, seed=0, batch_size=8))
+        assert blas_threads(library) == 2
 
 
 class TestPolicyArtifact:
