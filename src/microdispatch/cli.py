@@ -161,10 +161,10 @@ def _build_controller(kind, train, config, args):
                                             config.forecast_kappa).warm_up(train)
         return MpcController(FORECAST, forecaster=forecaster)
     if kind == MPC_STOCHASTIC:
-        load_model = kmeans([d.load_kw for d in train], 5, seed=args.seed)
-        pv_model = kmeans([d.pv_kw for d in train], 5, seed=args.seed + 1)
+        load_heads = kmeans([d.load_kw for d in train], 5, seed=args.seed)
+        pv_heads = kmeans([d.pv_kw for d in train], 5, seed=args.seed + 1)
         return MpcController(STOCHASTIC,
-                             scenarios=build_realtime_scenarios(load_model, pv_model))
+                             scenarios=build_realtime_scenarios(load_heads, pv_heads))
     if kind == DRL:
         if not args.weights:
             raise DataFormatError("the drl controller needs --weights")

@@ -10,6 +10,7 @@ plant step per hour, with coupling state carried across days.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -135,16 +136,14 @@ class MpcController:
     scenario heads. Infeasible windows are re-solved with an elastic balance
     whose first-hour slack will surface as a plant blackout.
 
-    The controller holds its last optimal, non-elastic window: the plan, the
-    window's (load, pv) profiles, its hour, and the `day` and `commitment`
-    objects it was solved for. At the next hour of the same day and
-    commitment, windows whose data repeat the plan's one hour later start
-    from its binaries (`shifted_start`); any other decision, and every hour
-    0, solves cold, so a reused controller repeats a fresh one. The start
-    changes which of several optimal points HiGHS may return, never the
-    optimal window objective. The plan is held here rather than passed
-    through `decide`, because callers, the benchmark's timing wrapper among
-    them, call `decide` with the five arguments every controller takes.
+    The controller holds its last optimal, non-elastic window's profiles and
+    plan. Windows whose data repeat the plan's one hour later, which only the
+    previous hour's window can, start from its binaries (`shifted_start`);
+    every hour 0 solves cold. The start changes which of several optimal
+    points HiGHS may return, never the optimal window objective. The plan is
+    held here rather than passed through `decide`, because callers, the
+    benchmark's timing wrapper among them, call `decide` with the five
+    arguments every controller takes.
     """
 
     def __init__(self, mode: str, forecaster: LoadPvForecaster | None = None,
@@ -188,9 +187,13 @@ class MpcController:
 
         windows = window_profiles(ctx, self.mode)
         model = build_realtime(ctx, tariff, config, self.mode)
-        solution = solve_milp(model, start=self._start(model, windows, h, day, commitment))
+        start = None
+        if self._plan is not None:
+            plan_windows, plan = self._plan
+            start = shifted_start(model, windows, plan, plan_windows) or None
+        solution = solve_milp(model, start=start)
         if solution.status is SolveStatus.OPTIMAL:
-            self._plan = (h, day, commitment, windows, solution)
+            self._plan = (windows, solution)
         else:
             self._plan = None
             solution = solve_milp(build_realtime(ctx, tariff, config, self.mode,
@@ -200,17 +203,6 @@ class MpcController:
                 f"{self.kind}: window solve failed even with elastic balance "
                 f"({solution.status.value})")
         return extract_setpoint(solution, config)
-
-    def _start(self, model, windows, hour: int, day: DayProfile,
-               commitment: Commitment) -> dict[int, float] | None:
-        """The held plan's binaries as a start for the window at `hour`, when
-        that plan is the previous hour's of the same day and commitment."""
-        if self._plan is None:
-            return None
-        plan_hour, plan_day, plan_commitment, plan_windows, plan = self._plan
-        if hour != plan_hour + 1 or day is not plan_day or commitment is not plan_commitment:
-            return None
-        return shifted_start(model, windows, plan, plan_windows) or None
 
 
 @dataclass(frozen=True)
@@ -302,12 +294,18 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
     forced to that value and the generator switched off at every midnight;
     without it both carry over. Fatal controller errors raise
     SimulationAborted with the partial report attached.
+
+    The run drives a shallow copy of `controller`, so whatever state the
+    controller reassigns from hour to hour, an MPC controller's forecaster
+    and plan among it, ends with the run: a reused controller repeats a
+    fresh one.
     """
     if len(days) == 0:
         raise ValueError("empty dataset")
     report = SimulationReport(controller=getattr(controller, "kind", "unknown"),
                               dg_unit_cost=config.dg_unit_cost)
     cache = commitment_cache if commitment_cache is not None else {}
+    controller = copy.copy(controller)
 
     state = MicrogridState(
         hour_of_day=0, soc_kwh=options.initial_soc_kwh,

@@ -406,14 +406,6 @@ def extract_setpoint(solution: MilpSolution, config: MicrogridConfig) -> Dispatc
     )
 
 
-def extract_slack(solution: MilpSolution) -> float:
-    """First-hour balance shortfall of an elastic re-solve (0 when absent)."""
-    try:
-        return _round_clip(solution.value("slack[0]"))
-    except KeyError:
-        return 0.0
-
-
 def solve_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
                     initial_soc_kwh: float, config: MicrogridConfig
                     ) -> tuple[Commitment, MilpSolution]:

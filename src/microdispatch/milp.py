@@ -329,87 +329,3 @@ def solve_milp(model: LinearProgram, *, node_limit: int = DEFAULT_NODE_LIMIT,
     return MilpSolution(status=status, objective=obj, values=x, names=std.names,
                         node_count=max(int(info.mip_node_count), 0),
                         iterations=int(info.simplex_iteration_count))
-
-
-# ---------------------------------------------------------------------------
-# textual dump (round-trippable)
-#
-# Grammar, one declaration per line; '#' starts a comment:
-#   minimize: <term> {<term>} [offset <float>] ;
-#   row: <term> {<term>} (<=|>=|=) <float> ;
-#   var: <name> in [<float>, <float>] ;
-#   binary: <name> ;
-# where <term> is '+ <float> <name>' or '- <float> <name>' (sign always
-# explicit, coefficient always present). Variable declarations precede use.
-
-
-def dump_lp(model: LinearProgram) -> str:
-    def terms(pairs):
-        chunks = []
-        for idx, coef in pairs:
-            sign = "-" if coef < 0 else "+"
-            chunks.append(f"{sign} {abs(coef):.12g} {model.names[idx]}")
-        return " ".join(chunks) if chunks else "+ 0 _zero_"
-
-    lines = []
-    for i, name in enumerate(model.names):
-        if model.is_binary[i]:
-            lines.append(f"binary: {name} ;")
-        else:
-            lines.append(f"var: {name} in [{model.lower[i]:.12g}, {model.upper[i]:.12g}] ;")
-    obj = sorted(model.objective.items())
-    offset = f" offset {model.objective_offset:.12g}" if model.objective_offset else ""
-    lines.append(f"minimize: {terms(obj)}{offset} ;")
-    for row_terms, rel, rhs in model.rows:
-        lines.append(f"row: {terms(row_terms)} {rel} {rhs:.12g} ;")
-    return "\n".join(lines) + "\n"
-
-
-def parse_lp(text: str) -> LinearProgram:
-    model = LinearProgram()
-
-    def parse_terms(tokens):
-        pairs = []
-        i = 0
-        while i < len(tokens):
-            sign, coef, name = tokens[i], tokens[i + 1], tokens[i + 2]
-            if sign not in "+-":
-                raise SolverError(f"expected sign, got {sign!r}")
-            value = float(coef) * (-1.0 if sign == "-" else 1.0)
-            if name != "_zero_":
-                pairs.append((model.index(name), value))
-            i += 3
-        return pairs
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.endswith(";"):
-            raise SolverError(f"line {lineno}: missing ';'")
-        head, _, body = line[:-1].partition(":")
-        tokens = body.split()
-        kind = head.strip()
-        try:
-            if kind == "var":
-                name = tokens[0]
-                lo = float(tokens[2].strip("[,"))
-                hi = float(tokens[3].strip("],"))
-                model.add_var(name, lo, hi)
-            elif kind == "binary":
-                model.add_binary(tokens[0])
-            elif kind == "minimize":
-                if len(tokens) >= 2 and tokens[-2] == "offset":
-                    model.objective_offset = float(tokens[-1])
-                    tokens = tokens[:-2]
-                for idx, coef in parse_terms(tokens):
-                    model.set_objective(idx, coef)
-            elif kind == "row":
-                rel_pos = next(i for i, t in enumerate(tokens) if t in _RELS)
-                pairs = parse_terms(tokens[:rel_pos])
-                model.add_row(pairs, tokens[rel_pos], float(tokens[rel_pos + 1]))
-            else:
-                raise SolverError(f"unknown declaration {kind!r}")
-        except (IndexError, ValueError, KeyError) as exc:
-            raise SolverError(f"line {lineno}: {exc}") from exc
-    return model

@@ -39,27 +39,6 @@ class ScenarioSet:
         return len(self.profiles)
 
 
-@dataclass(frozen=True)
-class ClusterModel:
-    """K-means result over daily 24-vectors."""
-
-    k: int
-    heads: np.ndarray        # (k, 24)
-    assignments: np.ndarray  # (n_days,)
-    inertia: float
-    seed: int
-
-    def __post_init__(self):
-        heads = np.asarray(self.heads, dtype=float)
-        if heads.shape != (self.k, HOURS_PER_DAY):
-            raise ValueError("each cluster head needs 24 slots")
-        heads.setflags(write=False)
-        object.__setattr__(self, "heads", heads)
-        assign = np.asarray(self.assignments, dtype=int)
-        assign.setflags(write=False)
-        object.__setattr__(self, "assignments", assign)
-
-
 def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ style seeding: spread initial heads by squared distance."""
     n = points.shape[0]
@@ -77,10 +56,11 @@ def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
 
 
 def kmeans(days, k: int, seed: int,
-           max_iterations: int = DEFAULT_KMEANS_ITERATIONS) -> ClusterModel:
+           max_iterations: int = DEFAULT_KMEANS_ITERATIONS) -> np.ndarray:
     """Lloyd's algorithm over daily 24-vectors, deterministic for a seed.
 
-    Empty clusters are re-seeded to the point farthest from its head.
+    Returns the cluster heads, a read-only (k, 24) array. Empty clusters are
+    re-seeded to the point farthest from its head.
     """
     points = np.asarray([np.asarray(d, dtype=float) for d in days])
     if points.ndim != 2 or points.shape[1] != HOURS_PER_DAY:
@@ -108,9 +88,8 @@ def kmeans(days, k: int, seed: int,
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-    d2 = ((points - heads[assignments]) ** 2).sum(axis=1)
-    return ClusterModel(k=k, heads=heads, assignments=assignments,
-                        inertia=float(d2.sum()), seed=seed)
+    heads.setflags(write=False)
+    return heads
 
 
 def _stack(days, attr):
@@ -134,16 +113,16 @@ def build_dayahead_scenarios(training_days) -> ScenarioSet:
     return ScenarioSet(profiles=profiles, probabilities=probs)
 
 
-def build_realtime_scenarios(load_model: ClusterModel,
-                             pv_model: ClusterModel) -> ScenarioSet:
+def build_realtime_scenarios(load_heads: np.ndarray,
+                             pv_heads: np.ndarray) -> ScenarioSet:
     """Pair the five PV cluster heads with load heads of matching energy rank."""
-    if load_model.k != REAL_TIME_SCENARIOS or pv_model.k != REAL_TIME_SCENARIOS:
-        raise ValueError(f"real-time scenarios need k={REAL_TIME_SCENARIOS} cluster models")
-    pv_order = np.argsort(pv_model.heads.sum(axis=1), kind="stable")
-    load_order = np.argsort(load_model.heads.sum(axis=1), kind="stable")
+    if len(load_heads) != REAL_TIME_SCENARIOS or len(pv_heads) != REAL_TIME_SCENARIOS:
+        raise ValueError(f"real-time scenarios need {REAL_TIME_SCENARIOS} cluster heads")
+    pv_order = np.argsort(pv_heads.sum(axis=1), kind="stable")
+    load_order = np.argsort(load_heads.sum(axis=1), kind="stable")
     profiles = tuple(
-        DayProfile(load_kw=load_model.heads[load_order[i]],
-                   pv_kw=np.maximum(pv_model.heads[pv_order[i]], 0.0))
+        DayProfile(load_kw=load_heads[load_order[i]],
+                   pv_kw=np.maximum(pv_heads[pv_order[i]], 0.0))
         for i in range(REAL_TIME_SCENARIOS))
     probs = np.full(REAL_TIME_SCENARIOS, 1.0 / REAL_TIME_SCENARIOS)
     return ScenarioSet(profiles=profiles, probabilities=probs)

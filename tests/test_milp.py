@@ -33,8 +33,6 @@ from microdispatch.milp import (
     SolveStatus,
     _Standard,
     check_highs_bindings,
-    dump_lp,
-    parse_lp,
     solve_milp,
 )
 from microdispatch.scenarios import build_dayahead_scenarios
@@ -376,31 +374,3 @@ def test_day_ahead_solve_prints_nothing(capfd):
     assert solution.ok
     assert capfd.readouterr().out == "before\nafter\n"
 
-
-class TestDumpRoundTrip:
-    def test_round_trip_preserves_solution(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            model = random_milp(rng)
-            text = dump_lp(model)
-            back = parse_lp(text)
-            assert back.names == model.names
-            assert back.is_binary == model.is_binary
-            a = solve_milp(model)
-            b = solve_milp(back)
-            assert a.status == b.status
-            if a.status is SolveStatus.OPTIMAL:
-                assert a.objective == pytest.approx(b.objective, abs=1e-9)
-
-    def test_offset_and_relations_survive(self):
-        model = LinearProgram()
-        x = model.add_var("x[0]", -1.5, 2.5)
-        model.set_objective(x, 0.25)
-        model.objective_offset = 12.75
-        model.add_row([(x, 2.0)], ">=", -1.0)
-        model.add_row([(x, 1.0)], "=", 1.0)
-        back = parse_lp(dump_lp(model))
-        assert back.objective_offset == 12.75
-        assert back.rows[0][1] == ">="
-        assert back.rows[1][1] == "="
-        assert solve_milp(back).objective == pytest.approx(12.75 + 0.25)

@@ -10,9 +10,14 @@ from microdispatch.scenarios import (
 )
 
 
-def inertia_of(model, days):
-    """Sum of squared distances of each day to its assigned head."""
-    return float(((np.asarray(days) - model.heads[model.assignments]) ** 2).sum())
+def nearest(heads, days):
+    """The index of each day's nearest head."""
+    return ((np.asarray(days)[:, None, :] - heads[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def inertia_of(heads, days):
+    """Sum of squared distances of each day to its nearest head."""
+    return float(((np.asarray(days) - heads[nearest(heads, days)]) ** 2).sum())
 
 
 def day(load, pv):
@@ -20,23 +25,31 @@ def day(load, pv):
 
 
 class TestKmeans:
+    def test_heads_are_read_only_24_vectors(self):
+        rng = np.random.default_rng(0)
+        heads = kmeans(rng.uniform(0, 100, size=(12, 24)), k=3, seed=3)
+        assert heads.shape == (3, 24) and heads.dtype == float
+        with pytest.raises(ValueError):
+            heads[0, 0] = 1.0
+
     def test_k1_head_is_global_mean(self):
         rng = np.random.default_rng(0)
         days = rng.uniform(0, 100, size=(12, 24))
-        model = kmeans(days, k=1, seed=3)
-        assert np.allclose(model.heads[0], days.mean(axis=0), atol=1e-9)
+        heads = kmeans(days, k=1, seed=3)
+        assert np.allclose(heads[0], days.mean(axis=0), atol=1e-9)
 
     def test_two_separated_bands(self):
         rng = np.random.default_rng(1)
         low = rng.uniform(0, 2, size=(15, 24))
         high = 100.0 + rng.uniform(0, 2, size=(15, 24))
         days = np.vstack([low, high])
-        model = kmeans(days, k=2, seed=5)
-        means = sorted(model.heads.mean(axis=1))
+        heads = kmeans(days, k=2, seed=5)
+        means = sorted(heads.mean(axis=1))
         assert means[0] == pytest.approx(low.mean(), abs=1.0)
         assert means[1] == pytest.approx(100.0 + 1.0, abs=1.0)
         # every day sits with its band
-        bands = model.assignments[:15], model.assignments[15:]
+        assignments = nearest(heads, days)
+        bands = assignments[:15], assignments[15:]
         assert len(set(bands[0])) == 1 and len(set(bands[1])) == 1
         assert bands[0][0] != bands[1][0]
 
@@ -45,38 +58,32 @@ class TestKmeans:
         days = rng.uniform(0, 50, size=(40, 24))
         a = kmeans(days, k=5, seed=9)
         b = kmeans(days.copy(), k=5, seed=9)
-        assert np.array_equal(a.heads, b.heads)
-        assert np.array_equal(a.assignments, b.assignments)
-        assert a.inertia == b.inertia
+        assert np.array_equal(a, b)
+        assert np.array_equal(nearest(a, days), nearest(b, days))
+        assert inertia_of(a, days) == inertia_of(b, days)
 
     def test_needs_k_distinct_days(self):
         days = np.zeros((5, 24))
         with pytest.raises(ValueError):
             kmeans(days, k=2, seed=0)
 
-    def test_inertia_matches_recomputation(self):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("k, seed", [(3, 11), (4, 7)])
+    def test_converged_heads_are_means_of_their_nearest_days(self, k, seed):
+        # Lloyd's fixed point: every head is the mean of the days nearest to it
+        rng = np.random.default_rng(k)
         days = rng.uniform(0, 50, size=(30, 24))
-        model = kmeans(days, k=4, seed=7)
-        assert model.inertia == pytest.approx(inertia_of(model, days), rel=1e-9)
-
-    def test_assignment_optimality(self):
-        rng = np.random.default_rng(4)
-        days = rng.uniform(0, 50, size=(25, 24))
-        model = kmeans(days, k=3, seed=11)
-        for i, point in enumerate(days):
-            own = ((point - model.heads[model.assignments[i]]) ** 2).sum()
-            for c in range(model.k):
-                other = ((point - model.heads[c]) ** 2).sum()
-                assert own <= other + 1e-9
+        heads = kmeans(days, k=k, seed=seed)
+        assignments = nearest(heads, days)
+        for c in range(k):
+            assert np.array_equal(heads[c], days[assignments == c].mean(axis=0)), c
 
     def test_inertia_nonincreasing_across_iterations(self):
         rng = np.random.default_rng(5)
         days = rng.uniform(0, 50, size=(40, 24))
         previous = np.inf
         for iterations in range(1, 8):
-            model = kmeans(days, k=4, seed=13, max_iterations=iterations)
-            inertia = inertia_of(model, days)
+            heads = kmeans(days, k=4, seed=13, max_iterations=iterations)
+            inertia = inertia_of(heads, days)
             assert inertia <= previous + 1e-9
             previous = inertia
 
@@ -118,23 +125,21 @@ class TestDayAheadScenarios:
 
 
 class TestRealtimeScenarios:
-    def make_models(self, seed=0):
+    def make_heads(self, seed=0):
         rng = np.random.default_rng(seed)
         load_days = rng.uniform(5000, 10000, size=(60, 24))
         pv_days = rng.uniform(0, 15000, size=(60, 24))
         return kmeans(load_days, 5, seed=1), kmeans(pv_days, 5, seed=2)
 
     def test_heads_sorted_by_pv_energy(self):
-        load_m, pv_m = self.make_models()
-        s = build_realtime_scenarios(load_m, pv_m)
+        s = build_realtime_scenarios(*self.make_heads())
         pv_energy = [p.pv_kw.sum() for p in s.profiles]
         assert pv_energy == sorted(pv_energy)
         load_energy = [p.load_kw.sum() for p in s.profiles]
         assert load_energy == sorted(load_energy)
 
     def test_probabilities_are_fifths(self):
-        load_m, pv_m = self.make_models()
-        s = build_realtime_scenarios(load_m, pv_m)
+        s = build_realtime_scenarios(*self.make_heads())
         assert np.allclose(s.probabilities, 0.2)
 
     def test_k_must_be_five(self):

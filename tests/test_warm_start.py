@@ -94,9 +94,10 @@ def test_start_from_another_days_plan_keeps_the_cold_objective(seed0, monkeypatc
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode", [PERFECT, STOCHASTIC])
+@pytest.mark.parametrize("mode", [PERFECT, FORECAST, STOCHASTIC])
 def test_reused_controller_repeats_a_fresh_one(seed0, mode):
-    # the first run is a fresh object's; the second starts with its last plan held
+    # the first run is a fresh object's; the second must not see the first's
+    # plan, nor a forecaster that has observed its days
     reused = controller(seed0, mode)
     fresh, again = (run_simulation(reused, seed0["days"], TARIFF, CFG, seed0["scen_d"],
                                    RESET, commitment_cache=seed0["cache"])
