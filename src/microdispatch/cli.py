@@ -46,7 +46,13 @@ from microdispatch.dataio import (
     write_trace_csv,
     read_profiles,
 )
-from microdispatch.dispatch import FORECAST, PERFECT, STOCHASTIC, solve_day_ahead
+from microdispatch.dispatch import (
+    FORECAST,
+    PERFECT,
+    STOCHASTIC,
+    ExtractionError,
+    solve_day_ahead,
+)
 from microdispatch.domain import (
     HOURS_PER_DAY,
     MicrogridConfig,
@@ -55,8 +61,8 @@ from microdispatch.domain import (
 )
 from microdispatch.drl import (
     DqnConfig,
-    DqnPolicy,
     DrlController,
+    MlpNetwork,
     TrainingEnvironment,
     train_agent,
 )
@@ -168,7 +174,7 @@ def _build_controller(kind, train, config, args):
     if kind == DRL:
         if not args.weights:
             raise DataFormatError("the drl controller needs --weights")
-        return DrlController(DqnPolicy.load(args.weights))
+        return DrlController(MlpNetwork.load(args.weights))
     raise DataFormatError(f"unknown controller {kind!r}; "
                           f"choose from {', '.join(CONTROLLER_KINDS)}")
 
@@ -202,9 +208,9 @@ def cmd_train_drl(args) -> int:
                            episodes=args.episodes, seed=args.seed,
                            epsilon_decay_steps=args.epsilon_decay_steps)
     started = time.perf_counter()
-    policy, curve = train_agent(environment, dqn_config)
+    network, curve = train_agent(environment, dqn_config)
     seconds = time.perf_counter() - started
-    _atomic_write(args.out, lambda tmp: policy.save(tmp))
+    _atomic_write(args.out, network.save)
 
     def write_curve(tmp):
         with open(tmp, "w") as fh:
@@ -369,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError, SolverError, ValueError) as exc:
+    except (ExtractionError, FileNotFoundError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -39,8 +39,7 @@ from microdispatch.domain import (
     StepOutcome,
     TariffSchedule,
     advance_state,
-    clamp_dg,
-    residual_setpoint,
+    generator_setpoint,
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
@@ -63,14 +62,6 @@ PLANNING_MEASURED = "measured"
 
 class ControllerError(RuntimeError):
     """Fatal controller failure (solver breakdown, missing artifacts)."""
-
-
-class SimulationAborted(RuntimeError):
-    """Carries the partial report accumulated before a fatal error."""
-
-    def __init__(self, message: str, partial_report):
-        super().__init__(message)
-        self.partial_report = partial_report
 
 
 def rule_based_decide(state: MicrogridState, load_kw: float, pv_kw: float,
@@ -99,9 +90,8 @@ def rule_based_decide(state: MicrogridState, load_kw: float, pv_kw: float,
     elif state.soc_kwh <= config.dg_start_soc:
         dg_request = _cycle_charge_target(state, requirement, committed, config)
 
-    probe = DispatchSetpoint(dg_kw=max(dg_request, 0.0), dg_stop=stop_flag)
-    dg_applied, _, started, stopped = clamp_dg(state, probe, config)
-    return residual_setpoint(dg_applied, started, stopped, load_kw, pv_kw, committed)
+    return generator_setpoint(state, dg_request, load_kw, pv_kw, committed, config,
+                              stop_flag)
 
 
 def _cycle_charge_target(state, requirement, committed, config):
@@ -292,8 +282,8 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
     solve) and fixes the day's commitment; each hour the controller decides
     and the plant realizes. With `reset_soc_kwh` set, the battery state is
     forced to that value and the generator switched off at every midnight;
-    without it both carry over. Fatal controller errors raise
-    SimulationAborted with the partial report attached.
+    without it both carry over. A fatal controller error is re-raised as a
+    ControllerError that names the controller, day and hour.
 
     The run drives a shallow copy of `controller`, so whatever state the
     controller reassigns from hour to hour, an MPC controller's forecaster
@@ -335,9 +325,8 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
             try:
                 setpoint = controller.decide(state, day, commitment, tariff, config)
             except (ControllerError, ExtractionError) as exc:
-                raise SimulationAborted(
-                    f"{report.controller} failed at day {day_index} hour {hour}: {exc}",
-                    report) from exc
+                raise ControllerError(f"{report.controller} failed at day {day_index} "
+                                      f"hour {hour}: {exc}") from exc
             elapsed = time.perf_counter() - began
             outcome = step_plant(state, setpoint, commitment.hour(hour),
                                  float(day.load_kw[hour]), float(day.pv_kw[hour]),
@@ -366,6 +355,6 @@ def compare_controllers(controllers: dict, days, tariff: TariffSchedule,
             reports[name] = run_simulation(controller, days, tariff, config,
                                            day_ahead_scenarios, options,
                                            commitment_cache=cache)
-        except SimulationAborted as exc:
+        except ControllerError as exc:
             failures[name] = str(exc)
     return reports, failures

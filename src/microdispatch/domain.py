@@ -266,12 +266,12 @@ def step_cost(setpoint: DispatchSetpoint, committed: CommittedHour,
 
 
 def clamp_dg(state: MicrogridState, setpoint: DispatchSetpoint,
-             config: MicrogridConfig) -> tuple[float, bool, bool, bool]:
+             config: MicrogridConfig) -> tuple[float, bool, bool]:
     """Clip the DG request into the feasible start/run/stop window.
 
-    Returns (applied_kw, now_on, start_flag, stop_flag). A stop flag on a
-    running setpoint widens the down-ramp window by the shutdown ramp, which
-    the dispatch models may legitimately schedule. Discrete decisions get a
+    Returns (applied_kw, start_flag, stop_flag). A stop flag on a running
+    setpoint widens the down-ramp window by the shutdown ramp, which the
+    dispatch models may legitimately schedule. Discrete decisions get a
     1e-6 kW tolerance so solver-rounded plans at exactly-tight limits are
     honored rather than derailed.
     """
@@ -280,31 +280,32 @@ def clamp_dg(state: MicrogridState, setpoint: DispatchSetpoint,
     if state.dg_on:
         if req <= 0.0:
             if prev <= config.dg_shutdown_ramp + VALIDATION_TOL:
-                return 0.0, False, False, True
+                return 0.0, False, True
             # cannot stop from this power level: stay on, ramp down
-            applied = max(config.dg_power_min, prev - config.dg_ramp_down)
-            return applied, True, False, False
+            return max(config.dg_power_min, prev - config.dg_ramp_down), False, False
         down = config.dg_ramp_down + (config.dg_shutdown_ramp if setpoint.dg_stop else 0.0)
         lo = max(config.dg_power_min, prev - down)
         hi = min(config.dg_power_max, prev + config.dg_ramp_up)
-        return min(max(req, lo), hi), True, False, bool(setpoint.dg_stop)
+        return min(max(req, lo), hi), False, bool(setpoint.dg_stop)
     if req <= 0.0:
-        return 0.0, False, False, False
+        return 0.0, False, False
     hi = min(config.dg_power_max, config.dg_startup_ramp)
-    return min(max(req, config.dg_power_min), hi), True, True, False
+    return min(max(req, config.dg_power_min), hi), True, False
 
 
-def residual_setpoint(dg_kw: float, dg_start: bool, dg_stop: bool,
-                      load_kw: float, pv_kw: float,
-                      committed: CommittedHour) -> DispatchSetpoint:
-    """The generator at `dg_kw` with its flags, and the battery taking the
-    balance residual `load - pv - (buy - sell) - dg`: discharging when it is
-    positive, charging when it is negative."""
+def generator_setpoint(state: MicrogridState, dg_request_kw: float,
+                       load_kw: float, pv_kw: float, committed: CommittedHour,
+                       config: MicrogridConfig, stop: bool) -> DispatchSetpoint:
+    """Clamp the generator request into its ramp window, with `stop` as its
+    stop flag; the battery takes the residual `load - pv - (buy - sell) - dg`,
+    discharging when it is positive and charging when it is negative."""
+    probe = DispatchSetpoint(dg_kw=max(dg_request_kw, 0.0), dg_stop=stop)
+    dg_kw, started, stopped = clamp_dg(state, probe, config)
     residual = load_kw - pv_kw - (committed.grid_buy_kw - committed.grid_sell_kw) - dg_kw
     return DispatchSetpoint(dg_kw=dg_kw,
                             ess_discharge_kw=max(residual, 0.0),
                             ess_charge_kw=max(-residual, 0.0),
-                            dg_start=dg_start, dg_stop=dg_stop)
+                            dg_start=started, dg_stop=stopped)
 
 
 def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
@@ -319,7 +320,7 @@ def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
     SOC is always advanced with the powers actually applied, and the step
     cost accrues for those powers.
     """
-    dg_kw, dg_now_on, started, stopped = clamp_dg(state, setpoint, config)
+    dg_kw, started, stopped = clamp_dg(state, setpoint, config)
 
     discharge = setpoint.ess_discharge_kw
     charge = setpoint.ess_charge_kw
@@ -374,7 +375,6 @@ class Violation:
     hour_of_day: int
     constraint: str
     magnitude: float
-    detail: str = ""
 
 
 class TrajectoryError(ValueError):
@@ -386,13 +386,13 @@ TrajectoryStep = tuple[MicrogridState, DispatchSetpoint, StepOutcome]
 
 def validate_trajectory(trajectory: Sequence[TrajectoryStep],
                         commitments: Commitment | Sequence[Commitment],
-                        config: MicrogridConfig,
-                        tol: float = VALIDATION_TOL) -> list[Violation]:
+                        config: MicrogridConfig) -> list[Violation]:
     """Check every physical and contractual constraint over a realized run.
 
     Returns one Violation per breached constraint-hour; an empty list means
-    the whole trajectory is feasible within `tol`. Hours must be consecutive.
-    Grid adherence is checked against the commitment active on each day.
+    the whole trajectory is feasible within `VALIDATION_TOL`. Hours must be
+    consecutive. Grid adherence is checked against the commitment active on
+    each day.
     """
     if len(trajectory) == 0:
         raise TrajectoryError("empty trajectory")
@@ -403,9 +403,9 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
     day_index = 0
     violations: list[Violation] = []
 
-    def add(step, hour, constraint, magnitude, detail=""):
-        if magnitude > tol:
-            violations.append(Violation(step, hour, constraint, float(magnitude), detail))
+    def add(step, hour, constraint, magnitude):
+        if magnitude > VALIDATION_TOL:
+            violations.append(Violation(step, hour, constraint, float(magnitude)))
 
     for i, (state, _, outcome) in enumerate(trajectory):
         expected_hour = (first_hour + i) % HOURS_PER_DAY
@@ -458,7 +458,7 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
 
         # DG commitment logic and ramps, on the flags as reported
         applied = outcome.applied
-        on_now = applied.dg_kw > tol
+        on_now = applied.dg_kw > VALIDATION_TOL
         on_prev = state.dg_on
         start = 1.0 if applied.dg_start else 0.0
         stop = 1.0 if applied.dg_stop else 0.0

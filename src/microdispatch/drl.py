@@ -40,8 +40,7 @@ from microdispatch.domain import (
     MicrogridConfig,
     MicrogridState,
     advance_state,
-    clamp_dg,
-    residual_setpoint,
+    generator_setpoint,
     step_plant,
 )
 
@@ -52,6 +51,9 @@ WEIGHT_FORMAT_VERSION = 2
 LOAD_SCALE_KW = 10000.0
 PV_SCALE_KW = 15000.0
 REPLAY_CAPACITY = 50_000
+BATCH_SIZE = 64
+DISCOUNT = 0.9
+LEARNING_RATE = 0.001
 TARGET_SYNC_INTERVAL = 500
 EPSILON_START = 1.0
 EPSILON_END = 0.05
@@ -59,17 +61,12 @@ EPSILON_END = 0.05
 
 @dataclass(frozen=True)
 class DqnConfig:
-    discount: float = 0.9
-    learning_rate: float = 0.001
     action_count: int = 40
-    batch_size: int = 64
     epsilon_decay_steps: int = 50_000
     episodes: int | None = None  # None: one pass over the training days
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.discount <= 1.0):
-            raise ValueError("discount must be in [0, 1]")
         if self.action_count < 2:
             raise ValueError("need at least two actions")
 
@@ -115,6 +112,37 @@ class MlpNetwork:
             activations.append(z)
         return activations
 
+    def save(self, path) -> None:
+        payload = {
+            "format_version": WEIGHT_FORMAT_VERSION,
+            "layer_sizes": self.layer_sizes,
+            "weights": [w.tolist() for w in self.weights],
+            "biases": [b.tolist() for b in self.biases],
+        }
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+
+    @classmethod
+    def load(cls, path) -> "MlpNetwork":
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: weight file holds a JSON {type(payload).__name__}, "
+                             f"not an object")
+        if payload.get("format_version") != WEIGHT_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported weight format "
+                             f"{payload.get('format_version')}")
+        try:
+            weights = [np.array(w, dtype=float) for w in payload["weights"]]
+            biases = [np.array(b, dtype=float) for b in payload["biases"]]
+            layer_sizes = payload["layer_sizes"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
+        network = cls(weights, biases)
+        if network.layer_sizes != layer_sizes:
+            raise ValueError("weight shapes disagree with the declared layer sizes")
+        return network
+
 
 def forward(network: MlpNetwork, observation: np.ndarray) -> np.ndarray:
     """Action values for one observation vector."""
@@ -138,24 +166,19 @@ def encode_state(state: MicrogridState, load_kw: float, pv_kw: float,
     ])
 
 
-def action_to_dg(index: int, state: MicrogridState,
-                 config: MicrogridConfig) -> tuple[float, bool, bool]:
-    """Map a discrete action to a feasible DG power and transition flags.
+def action_power(index: int, config: MicrogridConfig) -> float:
+    """The generator request of a discrete action, in kW, before any clamp.
 
     Action 0 requests the generator off; the rest span the stable power
-    range affinely. The request is clamped into the current ramp window, so
-    the returned power is exactly what the plant will apply.
+    range affinely. `generator_setpoint` clamps the request into the
+    current ramp window.
     """
     if not (0 <= index < config.drl_action_count):
         raise ValueError(f"action index {index} outside 0..{config.drl_action_count - 1}")
     if index == 0:
-        request = 0.0
-    else:
-        span = config.dg_power_max - config.dg_power_min
-        request = config.dg_power_min + (index - 1) / (config.drl_action_count - 2) * span
-    applied, _, started, stopped = clamp_dg(
-        state, DispatchSetpoint(dg_kw=request), config)
-    return applied, started, stopped
+        return 0.0
+    span = config.dg_power_max - config.dg_power_min
+    return config.dg_power_min + (index - 1) / (config.drl_action_count - 2) * span
 
 
 def reward(step_cost: float, blackout: bool, config: MicrogridConfig) -> float:
@@ -166,22 +189,22 @@ def reward(step_cost: float, blackout: bool, config: MicrogridConfig) -> float:
 
 def train_step(network: MlpNetwork, target: MlpNetwork,
                batch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-               config: DqnConfig, target_bound: float | None = None) -> float:
+               target_bound: float) -> float:
     """One SGD step on the squared TD error of a batch; returns the loss.
 
     `batch` is `(states, actions, rewards, next_states)`, one row per
     transition. Every target bootstraps through the target network: the
-    plant has no terminal state. With `target_bound` set, any TD target
-    outside the geometric envelope max|reward|/(1-discount) aborts training
-    as divergence. The network is updated in place.
+    plant has no terminal state. Any TD target outside +-`target_bound`
+    (the geometric envelope max|reward|/(1-discount) in training) aborts
+    training as divergence. The network is updated in place.
     """
     states, actions, rewards, next_states = batch
     if len(actions) == 0:
         raise ValueError("empty batch")
 
     next_q = target.forward_batch(next_states)[-1]
-    targets = rewards + config.discount * next_q.max(axis=1)
-    if target_bound is not None and np.abs(targets).max() > target_bound:
+    targets = rewards + DISCOUNT * next_q.max(axis=1)
+    if np.abs(targets).max() > target_bound:
         raise FloatingPointError(
             f"TD target escaped the reward envelope +-{target_bound:.1f}; "
             f"training diverged")
@@ -205,9 +228,9 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
         if layer > 0:
             delta = delta @ network.weights[layer].T
             delta *= activations[layer] > 0.0
-        grad_w *= config.learning_rate
+        grad_w *= LEARNING_RATE
         network.weights[layer] -= grad_w
-        grad_b *= config.learning_rate
+        grad_b *= LEARNING_RATE
         network.biases[layer] -= grad_b
     return loss
 
@@ -244,48 +267,6 @@ class ReplayBuffer:
 
     def __len__(self):
         return min(self.pushes, self.capacity)
-
-
-@dataclass
-class DqnPolicy:
-    """Trained artifact: the network that inference runs."""
-
-    network: MlpNetwork
-
-    def action(self, observation: np.ndarray) -> int:
-        values = forward(self.network, observation)
-        return int(np.argmax(values))  # lowest index wins ties
-
-    def save(self, path) -> None:
-        payload = {
-            "format_version": WEIGHT_FORMAT_VERSION,
-            "layer_sizes": self.network.layer_sizes,
-            "weights": [w.tolist() for w in self.network.weights],
-            "biases": [b.tolist() for b in self.network.biases],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "DqnPolicy":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: weight file holds a JSON {type(payload).__name__}, "
-                             f"not an object")
-        if payload.get("format_version") != WEIGHT_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported weight format "
-                             f"{payload.get('format_version')}")
-        try:
-            weights = [np.array(w, dtype=float) for w in payload["weights"]]
-            biases = [np.array(b, dtype=float) for b in payload["biases"]]
-            layer_sizes = payload["layer_sizes"]
-        except KeyError as exc:
-            raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
-        network = MlpNetwork(weights, biases)
-        if network.layer_sizes != layer_sizes:
-            raise ValueError("weight shapes disagree with the declared layer sizes")
-        return cls(network=network)
 
 
 class TrainingEnvironment:
@@ -331,8 +312,8 @@ class TrainingEnvironment:
         pv = float(day.pv_kw[h])
         committed = self.commitment.hour(h)
 
-        dg_kw, started, stopped = action_to_dg(action_index, self.state, self.config)
-        setpoint = residual_setpoint(dg_kw, started, stopped, load, pv, committed)
+        setpoint = generator_setpoint(self.state, action_power(action_index, self.config),
+                                      load, pv, committed, self.config, False)
         outcome = step_plant(self.state, setpoint, committed, load, pv,
                              self.tariff.price(h), self.config)
         step_reward = reward(outcome.step_cost, outcome.blackout, self.config)
@@ -344,8 +325,8 @@ class TrainingEnvironment:
 
 
 def train_agent(environment: TrainingEnvironment,
-                config: DqnConfig) -> tuple[DqnPolicy, list[float]]:
-    """Run DQN over day-long episodes; returns the policy and reward curve.
+                config: DqnConfig) -> tuple[MlpNetwork, list[float]]:
+    """Run DQN over day-long episodes; returns the network and reward curve.
 
     The loop runs on one BLAS thread where numpy's OpenBLAS allows it, with
     the same results either way (see the module docstring).
@@ -366,8 +347,7 @@ def train_agent(environment: TrainingEnvironment,
 
     curve: list[float] = []
     step_count = 0
-    divergence_bound = (environment.reward_magnitude_bound()
-                        / max(1.0 - config.discount, 1e-6))
+    divergence_bound = environment.reward_magnitude_bound() / (1.0 - DISCOUNT)
     obs = environment.observe()
     with _one_blas_thread():
         for _ in range(episodes):
@@ -388,13 +368,13 @@ def train_agent(environment: TrainingEnvironment,
                 replay.push(obs, action, step_reward, next_obs)
                 obs = next_obs
                 step_count += 1
-                if len(replay) >= config.batch_size:
-                    train_step(network, target, replay.sample(config.batch_size, rng),
-                               config, target_bound=divergence_bound)
+                if len(replay) >= BATCH_SIZE:
+                    train_step(network, target, replay.sample(BATCH_SIZE, rng),
+                               divergence_bound)
                 if step_count % TARGET_SYNC_INTERVAL == 0:
                     target = network.copy()
             curve.append(episode_reward)
-    return DqnPolicy(network=network), curve
+    return network, curve
 
 
 @functools.cache
@@ -443,8 +423,8 @@ class DrlController:
 
     kind = "drl"
 
-    def __init__(self, policy: DqnPolicy):
-        self.policy = policy
+    def __init__(self, network: MlpNetwork):
+        self.network = network
 
     def decide(self, state: MicrogridState, day, commitment, tariff,
                config: MicrogridConfig) -> DispatchSetpoint:
@@ -453,6 +433,6 @@ class DrlController:
         pv = float(day.pv_kw[h])
         committed = commitment.hour(h)
         obs = encode_state(state, load, pv, config)
-        action = self.policy.action(obs)
-        dg_kw, started, stopped = action_to_dg(action, state, config)
-        return residual_setpoint(dg_kw, started, stopped, load, pv, committed)
+        action = int(np.argmax(forward(self.network, obs)))  # lowest index wins ties
+        return generator_setpoint(state, action_power(action, config), load, pv,
+                                  committed, config, False)

@@ -2,9 +2,10 @@
 
 `perfbench/tracing.py` patches public names and reads positional arguments
 (`build_realtime`'s context and mode, `solve_milp`'s model), and
-`perfbench/workloads.py` calls `decide` with five arguments and trains
-through `TrainingEnvironment`, `DqnConfig` and `train_agent`. A signature
-change that breaks either fails here, not first in a benchmark run.
+`perfbench/workloads.py` calls `decide` with five arguments, trains
+through `TrainingEnvironment`, `DqnConfig` and `train_agent`, and rolls out
+`DrlController` on what `train_agent` returns. A signature change that
+breaks either fails here, not first in a benchmark run.
 """
 
 import sys
@@ -96,7 +97,7 @@ def test_traced_training_round(tracer):
     tracer.phase = "timed"
     environment = workloads.TimedEnvironment(days, TARIFF, CFG, Commitment.zero())
     config = drl.DqnConfig(action_count=CFG.drl_action_count, episodes=3, seed=0,
-                           batch_size=8, epsilon_decay_steps=24)
+                           epsilon_decay_steps=24)
     _, curve = drl.train_agent(environment, config)
     tracer.phase = "check"
 
@@ -106,11 +107,24 @@ def test_traced_training_round(tracer):
     assert names.count("drl.train_agent") == 1
     assert names.count("drl.env_step") == steps
     # training starts once the replay holds one batch
-    assert names.count("drl.train_step") == steps - config.batch_size + 1
-    assert names.count("drl.replay_sample") == steps - config.batch_size + 1
+    assert names.count("drl.train_step") == steps - drl.BATCH_SIZE + 1
+    assert names.count("drl.replay_sample") == steps - drl.BATCH_SIZE + 1
 
     metrics = tracing.layer_metrics(tracer, setups=1, rounds=1, timed_s=1.0,
                                     cache_lookups=0)
     drl_metrics = {k: v for k, v in metrics.items() if k.startswith("drl.")}
     assert len(drl_metrics) == 6
     assert all(value > 0 for value in drl_metrics.values()), drl_metrics
+
+
+def test_rollout_runs_the_trained_network():
+    """perfbench's train-drl round hands `train_agent`'s first result to
+    `DrlController`; the rollout must run on it."""
+    days = generate_dataset(SyntheticParams(seed=0, days=3))
+    # the cached commitment means the rollout solves no day-ahead
+    setup = {"history": days, "days": days[:1], "day_ahead": None,
+             "commitment": Commitment.zero(), "seed": 0}
+    run = workloads.RunState()
+    reports = workloads._round_train(run, setup)
+    assert list(reports) == ["drl"] and reports["drl"].hours == 24
+    assert run.cache_lookups == 1

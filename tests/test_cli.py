@@ -8,7 +8,7 @@ import pytest
 
 from microdispatch import cli, controllers
 from microdispatch.cli import main
-from microdispatch.domain import DispatchSetpoint
+from microdispatch.domain import DispatchSetpoint, TariffSchedule
 
 
 def run(argv):
@@ -69,6 +69,31 @@ class TestDayAhead:
         out = tmp_path / "commitment.json"
         assert run(["day-ahead", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(out)]) == 2
+
+
+@pytest.fixture
+def infeasible_config(tmp_path):
+    """A grid capped at 100 kW and a 2000 kW generator: no day-ahead plan
+    covers the `small_year` load."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "microgrid": {"grid_power_cap": 100.0, "dg_power_max": 2000.0,
+                      "dg_startup_ramp": 2000.0, "dg_shutdown_ramp": 2000.0},
+        "tariff": {"hourly_price": list(TariffSchedule().hourly_price)}}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    "day-ahead --data {data} --config {config} --out {out}",
+    "train-drl --data {data} --config {config} --out {out} --curve {out}.csv",
+    "compare --data {data} --config {config} --controllers rule-based --days 1 "
+    "--out {out}",
+])
+def test_an_infeasible_day_ahead_is_one_error_line(small_year, infeasible_config, tmp_path,
+                                                  capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv.format(data=small_year, config=infeasible_config, out=out).split()) == 2
+    assert capsys.readouterr().err == "error: day-ahead solve ended infeasible\n"
 
 
 class TestTrainDrl:

@@ -5,7 +5,6 @@ from microdispatch.controllers import (
     ControllerError,
     MpcController,
     RuleBasedController,
-    SimulationAborted,
     SimulationOptions,
     compare_controllers,
     rule_based_decide,
@@ -192,7 +191,7 @@ class TestRunSimulation:
                                pipeline["scen_d"], options, commitment_cache=cache)
         assert np.array_equal(again.step_costs, report.step_costs)
 
-    def test_abort_carries_partial_report(self, pipeline):
+    def test_abort_names_the_controller_day_and_hour(self, pipeline):
         class Flaky:
             kind = "flaky"
 
@@ -205,10 +204,10 @@ class TestRunSimulation:
                     raise ControllerError("boom")
                 return RuleBasedController().decide(*args)
 
-        with pytest.raises(SimulationAborted) as exc_info:
+        with pytest.raises(ControllerError) as exc_info:
             run_simulation(Flaky(), pipeline["test"][:2], TARIFF, CFG,
                            pipeline["scen_d"])
-        assert exc_info.value.partial_report.hours == 30
+        assert str(exc_info.value) == "flaky failed at day 1 hour 6: boom"
 
     def test_empty_dataset_rejected(self, pipeline):
         with pytest.raises(ValueError):

@@ -13,17 +13,18 @@ from microdispatch.domain import (
     MicrogridState,
     DayProfile,
     TariffSchedule,
+    generator_setpoint,
 )
 from microdispatch.drl import (
+    LEARNING_RATE,
     LOAD_SCALE_KW,
     PV_SCALE_KW,
     DqnConfig,
-    DqnPolicy,
     DrlController,
     MlpNetwork,
     ReplayBuffer,
     TrainingEnvironment,
-    action_to_dg,
+    action_power,
     encode_state,
     forward,
     reward,
@@ -60,33 +61,35 @@ class TestEncodeState:
         assert vec[5] * CFG.dg_power_max == pytest.approx(5421.0, rel=1e-12)
 
 
+def action_setpoint(index, state):
+    """The setpoint the DRL controller makes of action `index`."""
+    return generator_setpoint(state, action_power(index, CFG), 6000.0, 0.0,
+                              Commitment.zero().hour(state.hour_of_day), CFG, False)
+
+
 class TestActionMap:
     def test_action_zero_is_off_with_stop_flag(self):
-        running = make_state(dg_prev=3000.0)
-        kw, started, stopped = action_to_dg(0, running, CFG)
-        assert kw == 0.0 and stopped and not started
-        idle = make_state()
-        kw, started, stopped = action_to_dg(0, idle, CFG)
-        assert kw == 0.0 and not stopped and not started
+        sp = action_setpoint(0, make_state(dg_prev=3000.0))
+        assert sp.dg_kw == 0.0 and sp.dg_stop and not sp.dg_start
+        sp = action_setpoint(0, make_state())
+        assert sp.dg_kw == 0.0 and not sp.dg_stop and not sp.dg_start
 
     def test_top_action_reaches_nameplate_when_running_near_it(self):
-        state = make_state(dg_prev=11000.0)
-        kw, _, _ = action_to_dg(39, state, CFG)
-        assert kw == pytest.approx(CFG.dg_power_max)
+        sp = action_setpoint(39, make_state(dg_prev=11000.0))
+        assert sp.dg_kw == pytest.approx(CFG.dg_power_max)
 
     def test_affine_grid_and_startup_clamp(self):
         # action 20 maps to 6000 kW; mid-run it applies exactly
-        state = make_state(dg_prev=6000.0)
-        kw, _, _ = action_to_dg(20, state, CFG)
-        assert kw == pytest.approx(6000.0)
+        sp = action_setpoint(20, make_state(dg_prev=6000.0))
+        assert sp.dg_kw == pytest.approx(6000.0)
         # from standstill the same request clamps to the startup ramp
-        kw, started, stopped = action_to_dg(20, make_state(), CFG)
-        assert kw == pytest.approx(CFG.dg_startup_ramp)
-        assert started and not stopped
+        sp = action_setpoint(20, make_state())
+        assert sp.dg_kw == pytest.approx(CFG.dg_startup_ramp)
+        assert sp.dg_start and not sp.dg_stop
 
     def test_out_of_range_action_rejected(self):
         with pytest.raises(ValueError):
-            action_to_dg(40, make_state(), CFG)
+            action_power(40, CFG)
 
 
 class TestReward:
@@ -136,6 +139,12 @@ class TestForward:
             forward(net, np.zeros(5))
 
 
+def zero_network(sizes):
+    """All weights and biases zero: every action value is 0."""
+    return MlpNetwork([np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])],
+                      [np.zeros(b) for b in sizes[1:]])
+
+
 def loss_oracle(network, target_net, batch, discount):
     """Straight-line TD loss recomputation, one row at a time, no shared code
     with train_step."""
@@ -171,14 +180,12 @@ class TestTrainStep:
             net = MlpNetwork.initialize(sizes, rng)
             target = MlpNetwork.initialize(sizes, rng)
             batch = self.random_batch(rng, sizes[0], sizes[-1])
-            config = DqnConfig(learning_rate=1.0, action_count=sizes[-1],
-                               discount=0.9)
             before = [w.copy() for w in net.weights]
             bias_before = [b.copy() for b in net.biases]
-            train_step(net, target, batch, config)
-            # with unit learning rate the update *is* the gradient
-            grads_w = [b - a for b, a in zip(before, net.weights)]
-            grads_b = [b - a for b, a in zip(bias_before, net.biases)]
+            train_step(net, target, batch, np.inf)
+            # the update is the gradient times the learning rate
+            grads_w = [(b - a) / LEARNING_RATE for b, a in zip(before, net.weights)]
+            grads_b = [(b - a) / LEARNING_RATE for b, a in zip(bias_before, net.biases)]
             probe = MlpNetwork([w.copy() for w in before],
                                [b.copy() for b in bias_before])
             for layer in range(len(sizes) - 1):
@@ -208,28 +215,24 @@ class TestTrainStep:
                     worst = max(worst, abs(bp - fd) / max(abs(fd), abs(bp), 1e-8))
         assert worst < 1e-4
 
-    def test_zero_discount_targets_are_rewards(self):
+    def test_zero_target_network_makes_targets_the_rewards(self):
         rng = np.random.default_rng(5)
         sizes = [3, 4, 2]
         net = MlpNetwork.initialize(sizes, rng)
-        target = net.copy()
         batch = self.random_batch(rng, 3, 2, size=4)
-        config = DqnConfig(discount=0.0, learning_rate=0.0, action_count=2)
-        loss = train_step(net, target, batch, config)
         states, actions, rewards, _ = batch
         expected = np.mean([(forward(net, s)[a] - r) ** 2
                             for s, a, r in zip(states, actions, rewards)])
+        loss = train_step(net, zero_network(sizes), batch, np.inf)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_single_parameter_closed_form(self):
-        # q = w*x, one action, no bootstrap: dL/dw = 2*(w*x - r)*x
-        w0, x, r, lr = 1.5, 2.0, 0.25, 0.01
+        # q = w*x, one action, targets equal to r: dL/dw = 2*(w*x - r)*x
+        w0, x, r = 1.5, 2.0, 0.25
         net = MlpNetwork([np.array([[w0]])], [np.array([0.0])])
-        target = net.copy()
         batch = (np.array([[x]]), np.array([0]), np.array([r]), np.array([[x]]))
-        config = DqnConfig(discount=0.0, learning_rate=lr, action_count=2)
-        train_step(net, target, batch, config)
-        expected = w0 - lr * 2 * (w0 * x - r) * x
+        train_step(net, zero_network([1, 1]), batch, np.inf)
+        expected = w0 - LEARNING_RATE * 2 * (w0 * x - r) * x
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_divergence_detection(self):
@@ -238,9 +241,8 @@ class TestTrainStep:
         target = net.copy()
         batch = (np.array([[0.5, 0.5]]), np.array([0]), np.array([-1e9]),
                  np.array([[0.5, 0.5]]))
-        config = DqnConfig(learning_rate=0.001, action_count=2)
         with pytest.raises(FloatingPointError):
-            train_step(net, target, batch, config, target_bound=100.0)
+            train_step(net, target, batch, target_bound=100.0)
 
 
 class TestReplayBuffer:
@@ -281,20 +283,19 @@ class TestTrainAgent:
         config = DqnConfig(episodes=0, seed=3)
         rng = np.random.default_rng(3)
         reference = MlpNetwork.initialize([6, 64, 128, 128, 64, 40], rng)
-        policy, curve = train_agent(tiny_environment(), config)
+        network, curve = train_agent(tiny_environment(), config)
         assert curve == []
-        for got, want in zip(policy.network.weights, reference.weights):
+        for got, want in zip(network.weights, reference.weights):
             assert np.array_equal(got, want)
 
     def test_curve_length_is_episode_count(self):
-        config = DqnConfig(episodes=3, seed=1, batch_size=8,
-                           epsilon_decay_steps=50)
+        config = DqnConfig(episodes=3, seed=1, epsilon_decay_steps=50)
         _, curve = train_agent(tiny_environment(), config)
         assert len(curve) == 3
 
     def test_default_episode_count_is_one_pass(self):
         env = tiny_environment(days=2)
-        config = DqnConfig(episodes=None, seed=1, batch_size=8)
+        config = DqnConfig(episodes=None, seed=1)
         _, curve = train_agent(env, config)
         assert len(curve) == 2
 
@@ -305,12 +306,12 @@ class TestTrainAgent:
             train_agent(tiny_environment(), config)
 
     def test_seeded_determinism(self):
-        config = DqnConfig(episodes=2, seed=11, batch_size=8,
-                           epsilon_decay_steps=40)
-        p1, c1 = train_agent(tiny_environment(), config)
-        p2, c2 = train_agent(tiny_environment(), config)
+        # 4 episodes: 96 steps, so 33 training steps at batch 64
+        config = DqnConfig(episodes=4, seed=11, epsilon_decay_steps=40)
+        n1, c1 = train_agent(tiny_environment(), config)
+        n2, c2 = train_agent(tiny_environment(), config)
         assert c1 == c2
-        for a, b in zip(p1.network.weights, p2.network.weights):
+        for a, b in zip(n1.weights, n2.weights):
             assert np.array_equal(a, b)
 
 
@@ -341,8 +342,8 @@ def openblas_kernel():
 
 
 def recorded_run():
-    policy, curve = train_agent(tiny_environment(), DqnConfig(episodes=3, seed=7))
-    return weights_sha256(policy.network), repr(curve)
+    network, curve = train_agent(tiny_environment(), DqnConfig(episodes=3, seed=7))
+    return weights_sha256(network), repr(curve)
 
 
 class TestTrainingBitForBit:
@@ -389,7 +390,7 @@ class TestBlasThreadScope:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(drl, "train_step", counting_step)
-        train_agent(tiny_environment(), DqnConfig(episodes=1, seed=0, batch_size=8))
+        train_agent(tiny_environment(), DqnConfig(episodes=3, seed=0))
         assert seen and set(seen) == {1}
         assert blas_threads(library) == 2
 
@@ -399,7 +400,7 @@ class TestBlasThreadScope:
 
         monkeypatch.setattr(drl, "train_step", diverging_step)
         with pytest.raises(FloatingPointError):
-            train_agent(tiny_environment(), DqnConfig(episodes=1, seed=0, batch_size=8))
+            train_agent(tiny_environment(), DqnConfig(episodes=3, seed=0))
         assert blas_threads(library) == 2
 
 
@@ -407,33 +408,39 @@ class TestPolicyArtifact:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         net = MlpNetwork.initialize([6, 8, 40], rng)
-        policy = DqnPolicy(network=net)
         path = tmp_path / "weights.json"
-        policy.save(path)
-        loaded = DqnPolicy.load(path)
-        for a, b in zip(loaded.network.weights, net.weights):
+        net.save(path)
+        loaded = MlpNetwork.load(path)
+        for a, b in zip(loaded.weights, net.weights):
             assert np.array_equal(a, b)
         obs = np.full(6, 0.25)
-        assert np.array_equal(forward(loaded.network, obs), forward(net, obs))
+        assert np.array_equal(forward(loaded, obs), forward(net, obs))
+
+    def test_file_holds_version_two_sizes_weights_and_biases(self, tmp_path):
+        net = MlpNetwork.initialize([6, 8, 40], np.random.default_rng(9))
+        path = tmp_path / "weights.json"
+        net.save(path)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == ["biases", "format_version", "layer_sizes", "weights"]
+        assert payload["format_version"] == 2
+        assert payload["layer_sizes"] == [6, 8, 40]
 
     def test_load_rejects_mismatched_shapes(self, tmp_path):
         rng = np.random.default_rng(9)
         net = MlpNetwork.initialize([6, 8, 40], rng)
-        policy = DqnPolicy(network=net)
         path = tmp_path / "weights.json"
-        policy.save(path)
+        net.save(path)
         payload = json.loads(path.read_text())
         payload["layer_sizes"] = [6, 9, 40]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
-            DqnPolicy.load(path)
+            MlpNetwork.load(path)
 
 
 class TestDrlController:
     def test_all_zero_network_picks_action_zero(self):
         net = MlpNetwork([np.zeros((6, 40))], [np.zeros(40)])
-        policy = DqnPolicy(network=net)
-        controller = DrlController(policy)
+        controller = DrlController(net)
         day = DayProfile(load_kw=np.full(24, 6000.0), pv_kw=np.zeros(24))
         sp = controller.decide(make_state(soc=20000.0), day, Commitment.zero(),
                                TariffSchedule(), CFG)
@@ -443,8 +450,7 @@ class TestDrlController:
     def test_forced_argmax_runs_generator(self):
         net = MlpNetwork([np.zeros((6, 40))], [np.zeros(40)])
         net.biases[0][39] = 5.0
-        policy = DqnPolicy(network=net)
-        controller = DrlController(policy)
+        controller = DrlController(net)
         day = DayProfile(load_kw=np.full(24, 6000.0), pv_kw=np.zeros(24))
         sp = controller.decide(make_state(soc=20000.0), day, Commitment.zero(),
                                TariffSchedule(), CFG)
@@ -454,8 +460,7 @@ class TestDrlController:
     def test_decisions_deterministic(self):
         rng = np.random.default_rng(21)
         net = MlpNetwork.initialize([6, 16, 40], rng)
-        policy = DqnPolicy(network=net)
-        controller = DrlController(policy)
+        controller = DrlController(net)
         day = DayProfile(load_kw=np.full(24, 7000.0), pv_kw=np.zeros(24))
         state = make_state(soc=15000.0)
         a = controller.decide(state, day, Commitment.zero(), TariffSchedule(), CFG)
