@@ -17,7 +17,6 @@ import time
 
 from microdispatch.controllers import (
     CONTROLLER_KINDS,
-    DRL,
     MPC_FORECAST,
     MPC_PERFECT,
     MPC_STOCHASTIC,
@@ -149,11 +148,15 @@ _positive_int = _int_in(1)  # such as `--days`
 _train_months = _int_in(1, TRAIN_MONTHS)
 
 
-def _controller_kinds(args) -> list[str]:
-    """The comma-separated `--controllers`, which must name at least one."""
-    kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
-    if not kinds:
-        raise DataFormatError("--controllers must name at least one controller")
+def _controller_kinds(raw: str) -> list[str]:
+    """The `--controllers` value: comma-separated kinds from CONTROLLER_KINDS,
+    at least one."""
+    kinds = [k.strip() for k in raw.split(",") if k.strip()]
+    unknown = [k for k in kinds if k not in CONTROLLER_KINDS]
+    if not kinds or unknown:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated kinds from {', '.join(CONTROLLER_KINDS)}, "
+            f"got {raw!r}")
     return kinds
 
 
@@ -171,12 +174,10 @@ def _build_controller(kind, train, config, args):
         pv_heads = kmeans([d.pv_kw for d in train], 5, seed=args.seed + 1)
         return MpcController(STOCHASTIC,
                              scenarios=build_realtime_scenarios(load_heads, pv_heads))
-    if kind == DRL:
-        if not args.weights:
-            raise DataFormatError("the drl controller needs --weights")
-        return DrlController(MlpNetwork.load(args.weights))
-    raise DataFormatError(f"unknown controller {kind!r}; "
-                          f"choose from {', '.join(CONTROLLER_KINDS)}")
+    # the last of CONTROLLER_KINDS: the DQN
+    if not args.weights:
+        raise DataFormatError("the drl controller needs --weights")
+    return DrlController(MlpNetwork.load(args.weights))
 
 
 def cmd_generate(args) -> int:
@@ -278,7 +279,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports, status = _run_controllers(args, _controller_kinds(args))
+    reports, status = _run_controllers(args, args.controllers)
     os.makedirs(args.out, exist_ok=True)
     if reports:
         _atomic_write(os.path.join(args.out, "summary.csv"),
@@ -362,7 +363,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run several controllers, shared commitments")
     run_flags(p)
-    p.add_argument("--controllers", required=True,
+    p.add_argument("--controllers", required=True, type=_controller_kinds,
                    help="comma-separated controller kinds")
     p.add_argument("--out", required=True, help="output directory")
     # one shared commitment for every controller

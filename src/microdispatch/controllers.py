@@ -192,7 +192,7 @@ class MpcController:
             raise ControllerError(
                 f"{self.kind}: window solve failed even with elastic balance "
                 f"({solution.status.value})")
-        return extract_setpoint(solution, config)
+        return extract_setpoint(solution, state, config)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,8 @@ def read_profiles(path) -> list[DayProfile]:
                 load, pv = float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: unparseable row {row!r}") from exc
+            if not (math.isfinite(load) and math.isfinite(pv)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite power")
             if load < 0 or pv < 0:
                 raise DataFormatError(f"{path}:{lineno}: negative power")
             rows.append((day, hour, load, pv, lineno))

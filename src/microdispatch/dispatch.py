@@ -378,14 +378,15 @@ def extract_commitment(solution: MilpSolution, config: MicrogridConfig) -> Commi
     return commitment
 
 
-def extract_setpoint(solution: MilpSolution, config: MicrogridConfig) -> DispatchSetpoint:
-    """First-hour decision of an optimal real-time solution; the rest is discarded.
+def extract_setpoint(solution: MilpSolution, state: MicrogridState,
+                     config: MicrogridConfig) -> DispatchSetpoint:
+    """First-hour decision of an optimal real-time solution from the window's
+    boundary `state`; the rest is discarded.
 
-    `start[0]` and `stop[0]` are continuous, and an optimum may use any
-    fraction of a ramp allowance. A `start[0]` above ROUND_TOL with the
-    generator on is a start; otherwise a `stop[0]` above ROUND_TOL sets the
-    stop flag, so a plan that leans on the shutdown ramp gets it from the
-    plant. At most one flag is set.
+    `stop[0]` is continuous, and an optimum may use any fraction of the
+    shutdown ramp. With the generator running, a `stop[0]` above ROUND_TOL
+    sets the stop flag, so a plan that leans on the shutdown ramp gets it
+    from the plant. With it idle, `stop[0]` is free and sets nothing.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"cannot extract from a {solution.status.value} solution")
@@ -398,11 +399,9 @@ def extract_setpoint(solution: MilpSolution, config: MicrogridConfig) -> Dispatc
         dis, chg = dis - chg, 0.0
     else:
         dis, chg = 0.0, chg - dis
-    start = on and solution.value("start[0]") > ROUND_TOL
     return DispatchSetpoint(
         dg_kw=dg, ess_charge_kw=chg, ess_discharge_kw=dis,
-        dg_start=start,
-        dg_stop=not start and solution.value("stop[0]") > ROUND_TOL,
+        dg_stop=state.dg_on and solution.value("stop[0]") > ROUND_TOL,
     )
 
 

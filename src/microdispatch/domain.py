@@ -8,7 +8,8 @@ evaluated concurrently without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ class MicrogridConfig:
     drl_action_count: int = 40
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.eta_charge <= 1.0):
             raise ValueError(f"eta_charge must be in (0, 1], got {self.eta_charge}")
         if self.eta_discharge < 1.0:
@@ -87,6 +91,9 @@ class TariffSchedule:
         object.__setattr__(self, "hourly_price", tuple(float(p) for p in self.hourly_price))
         if len(self.hourly_price) != HOURS_PER_DAY:
             raise ValueError(f"tariff needs {HOURS_PER_DAY} prices, got {len(self.hourly_price)}")
+        for h, p in enumerate(self.hourly_price):
+            if not math.isfinite(p):
+                raise ValueError(f"tariff price at hour {h} must be finite, got {p}")
         if any(p <= 0 for p in self.hourly_price):
             raise ValueError("all tariff prices must be strictly positive")
 
@@ -106,6 +113,8 @@ class DayProfile:
         pv = np.asarray(self.pv_kw, dtype=float)
         if load.shape != (HOURS_PER_DAY,) or pv.shape != (HOURS_PER_DAY,):
             raise ValueError("profiles need exactly 24 hourly slots")
+        if not (np.isfinite(load).all() and np.isfinite(pv).all()):
+            raise ValueError("load and pv must be finite")
         if (load < 0).any() or (pv < 0).any():
             raise ValueError("load and pv must be nonnegative")
         load.setflags(write=False)
@@ -202,12 +211,14 @@ class MicrogridState:
 
 @dataclass(frozen=True)
 class DispatchSetpoint:
-    """Controllable per-hour decisions: DG power and one-sided ESS power."""
+    """Controllable per-hour decisions: DG power and one-sided ESS power.
+
+    The stop flag lets a running generator use its shutdown ramp. A start
+    needs no flag."""
 
     dg_kw: float = 0.0
     ess_charge_kw: float = 0.0
     ess_discharge_kw: float = 0.0
-    dg_start: bool = False
     dg_stop: bool = False
 
     def __post_init__(self):
@@ -215,8 +226,6 @@ class DispatchSetpoint:
             raise ValueError("setpoint powers must be nonnegative")
         if self.ess_charge_kw > 0 and self.ess_discharge_kw > 0:
             raise ValueError("ESS cannot charge and discharge in the same hour")
-        if self.dg_start and self.dg_stop:
-            raise ValueError("dg_start and dg_stop are mutually exclusive")
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,10 @@ class PowerLedger:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """The plant's realized response to one setpoint."""
+    """The plant's realized response to one setpoint: the powers applied are
+    in `ledger`, and `dg_stop` is the stop flag applied."""
 
-    applied: DispatchSetpoint
+    dg_stop: bool
     soc_kwh: float
     step_cost: float
     curtailed_kw: float
@@ -247,50 +257,50 @@ class StepOutcome:
     ledger: PowerLedger
 
 
-def step_cost(setpoint: DispatchSetpoint, committed: CommittedHour,
-              price: float, config: MicrogridConfig) -> float:
-    """One-hour operation cost of a setpoint under the committed grid schedule.
+def step_cost(ledger: PowerLedger, price: float, config: MicrogridConfig) -> float:
+    """One-hour operation cost of a realized ledger.
 
     Grid revenue and reserve revenue enter negatively, so the result may be
     negative (a net-revenue hour).
     """
-    values = (setpoint.dg_kw, setpoint.ess_charge_kw, setpoint.ess_discharge_kw,
-              committed.grid_buy_kw, committed.grid_sell_kw,
-              committed.reserve_down_kw, committed.reserve_up_kw)
+    values = (ledger.dg_kw, ledger.ess_charge_kw, ledger.ess_discharge_kw,
+              ledger.grid_buy_kw, ledger.grid_sell_kw,
+              ledger.reserve_down_kw, ledger.reserve_up_kw)
     if min(values) < 0:
         raise ValueError(f"negative power in cost evaluation: {values}")
-    return (price * (committed.grid_buy_kw - committed.grid_sell_kw)
-            - config.reserve_revenue * (committed.reserve_down_kw + committed.reserve_up_kw)
-            + config.ess_unit_cost * (setpoint.ess_discharge_kw + setpoint.ess_charge_kw)
-            + config.dg_unit_cost * setpoint.dg_kw)
+    return (price * (ledger.grid_buy_kw - ledger.grid_sell_kw)
+            - config.reserve_revenue * (ledger.reserve_down_kw + ledger.reserve_up_kw)
+            + config.ess_unit_cost * (ledger.ess_discharge_kw + ledger.ess_charge_kw)
+            + config.dg_unit_cost * ledger.dg_kw)
 
 
 def clamp_dg(state: MicrogridState, setpoint: DispatchSetpoint,
-             config: MicrogridConfig) -> tuple[float, bool, bool]:
+             config: MicrogridConfig) -> tuple[float, bool]:
     """Clip the DG request into the feasible start/run/stop window.
 
-    Returns (applied_kw, start_flag, stop_flag). A stop flag on a running
-    setpoint widens the down-ramp window by the shutdown ramp, which the
-    dispatch models may legitimately schedule. Discrete decisions get a
-    1e-6 kW tolerance so solver-rounded plans at exactly-tight limits are
-    honored rather than derailed.
+    Returns (applied_kw, stopped). An idle generator asked for power starts.
+    A stop flag on a running setpoint widens the down-ramp window by the
+    shutdown ramp, which the dispatch models may legitimately schedule; an
+    idle generator ignores it. Discrete decisions get a 1e-6 kW tolerance so
+    solver-rounded plans at exactly-tight limits are honored rather than
+    derailed.
     """
     req = setpoint.dg_kw
     prev = state.dg_prev_kw
     if state.dg_on:
         if req <= 0.0:
             if prev <= config.dg_shutdown_ramp + VALIDATION_TOL:
-                return 0.0, False, True
+                return 0.0, True
             # cannot stop from this power level: stay on, ramp down
-            return max(config.dg_power_min, prev - config.dg_ramp_down), False, False
+            return max(config.dg_power_min, prev - config.dg_ramp_down), False
         down = config.dg_ramp_down + (config.dg_shutdown_ramp if setpoint.dg_stop else 0.0)
         lo = max(config.dg_power_min, prev - down)
         hi = min(config.dg_power_max, prev + config.dg_ramp_up)
-        return min(max(req, lo), hi), False, bool(setpoint.dg_stop)
+        return min(max(req, lo), hi), bool(setpoint.dg_stop)
     if req <= 0.0:
-        return 0.0, False, False
+        return 0.0, False
     hi = min(config.dg_power_max, config.dg_startup_ramp)
-    return min(max(req, config.dg_power_min), hi), True, False
+    return min(max(req, config.dg_power_min), hi), False
 
 
 def generator_setpoint(state: MicrogridState, dg_request_kw: float,
@@ -300,12 +310,12 @@ def generator_setpoint(state: MicrogridState, dg_request_kw: float,
     stop flag; the battery takes the residual `load - pv - (buy - sell) - dg`,
     discharging when it is positive and charging when it is negative."""
     probe = DispatchSetpoint(dg_kw=max(dg_request_kw, 0.0), dg_stop=stop)
-    dg_kw, started, stopped = clamp_dg(state, probe, config)
+    dg_kw, stopped = clamp_dg(state, probe, config)
     residual = load_kw - pv_kw - (committed.grid_buy_kw - committed.grid_sell_kw) - dg_kw
     return DispatchSetpoint(dg_kw=dg_kw,
                             ess_discharge_kw=max(residual, 0.0),
                             ess_charge_kw=max(-residual, 0.0),
-                            dg_start=started, dg_stop=stopped)
+                            dg_stop=stopped)
 
 
 def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
@@ -320,7 +330,7 @@ def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
     SOC is always advanced with the powers actually applied, and the step
     cost accrues for those powers.
     """
-    dg_kw, started, stopped = clamp_dg(state, setpoint, config)
+    dg_kw, stopped = clamp_dg(state, setpoint, config)
 
     discharge = setpoint.ess_discharge_kw
     charge = setpoint.ess_charge_kw
@@ -333,22 +343,20 @@ def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
 
     soc = state.soc_kwh - config.eta_discharge * discharge + config.eta_charge * charge
 
-    applied = DispatchSetpoint(dg_kw=dg_kw, ess_charge_kw=charge, ess_discharge_kw=discharge,
-                               dg_start=started, dg_stop=stopped)
     residual = (pv_kw + committed.grid_buy_kw - committed.grid_sell_kw
                 + discharge - charge + dg_kw - load_kw)
     curtailed = max(0.0, residual)
     shortfall = max(0.0, -residual)
     blackout = shortfall > VALIDATION_TOL
 
-    cost = step_cost(applied, committed, price, config)
     ledger = PowerLedger(
         load_kw=load_kw, pv_kw=pv_kw,
         grid_buy_kw=committed.grid_buy_kw, grid_sell_kw=committed.grid_sell_kw,
         reserve_down_kw=committed.reserve_down_kw, reserve_up_kw=committed.reserve_up_kw,
         dg_kw=dg_kw, ess_discharge_kw=discharge, ess_charge_kw=charge,
     )
-    return StepOutcome(applied=applied, soc_kwh=soc, step_cost=cost,
+    return StepOutcome(dg_stop=stopped, soc_kwh=soc,
+                       step_cost=step_cost(ledger, price, config),
                        curtailed_kw=curtailed, blackout=blackout,
                        shortfall_kw=shortfall, ledger=ledger)
 
@@ -356,7 +364,7 @@ def step_plant(state: MicrogridState, setpoint: DispatchSetpoint,
 def advance_state(state: MicrogridState, outcome: StepOutcome) -> MicrogridState:
     """Next-hour state implied by a realized step."""
     next_hour = (state.hour_of_day + 1) % HOURS_PER_DAY
-    dg_kw = outcome.applied.dg_kw
+    dg_kw = outcome.ledger.dg_kw
     soc_midnight = outcome.soc_kwh if next_hour == 0 else state.soc_midnight_kwh
     return MicrogridState(
         hour_of_day=next_hour,
@@ -392,7 +400,7 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
     Returns one Violation per breached constraint-hour; an empty list means
     the whole trajectory is feasible within `VALIDATION_TOL`. Hours must be
     consecutive. Grid adherence is checked against the commitment active on
-    each day.
+    each day. A stop flag on an idle generator is a `dg-stop-idle` finding.
     """
     if len(trajectory) == 0:
         raise TrajectoryError("empty trajectory")
@@ -407,7 +415,7 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
         if magnitude > VALIDATION_TOL:
             violations.append(Violation(step, hour, constraint, float(magnitude)))
 
-    for i, (state, _, outcome) in enumerate(trajectory):
+    for i, (state, setpoint, outcome) in enumerate(trajectory):
         expected_hour = (first_hour + i) % HOURS_PER_DAY
         if state.hour_of_day != expected_hour:
             raise TrajectoryError(
@@ -456,19 +464,20 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
         if h == HOURS_PER_DAY - 1:
             add(i, h, "soc-end", config.ess_energy_end - outcome.soc_kwh)
 
-        # DG commitment logic and ramps, on the flags as reported
-        applied = outcome.applied
-        on_now = applied.dg_kw > VALIDATION_TOL
+        # DG commitment logic and ramps; a start is an idle generator that runs
+        dg_kw = led.dg_kw
+        on_now = dg_kw > VALIDATION_TOL
         on_prev = state.dg_on
-        start = 1.0 if applied.dg_start else 0.0
-        stop = 1.0 if applied.dg_stop else 0.0
+        start = 1.0 if on_now and not on_prev else 0.0
+        stop = 1.0 if outcome.dg_stop else 0.0
+        add(i, h, "dg-stop-idle", 1.0 if setpoint.dg_stop and not on_prev else 0.0)
         add(i, h, "dg-start-stop", start + stop - 1.0)
         add(i, h, "dg-status", start - stop - (1.0 if on_now else 0.0) + (1.0 if on_prev else 0.0))
-        add(i, h, "dg-capacity", applied.dg_kw - (config.dg_power_max if on_now else 0.0))
-        add(i, h, "dg-min-power", (config.dg_power_min if on_now else 0.0) - applied.dg_kw)
+        add(i, h, "dg-capacity", dg_kw - (config.dg_power_max if on_now else 0.0))
+        add(i, h, "dg-min-power", (config.dg_power_min if on_now else 0.0) - dg_kw)
         ramp_up_cap = (config.dg_ramp_up if on_prev else 0.0) + start * config.dg_startup_ramp
-        add(i, h, "dg-ramp-up", applied.dg_kw - state.dg_prev_kw - ramp_up_cap)
+        add(i, h, "dg-ramp-up", dg_kw - state.dg_prev_kw - ramp_up_cap)
         ramp_down_cap = (config.dg_ramp_down if on_now else 0.0) + stop * config.dg_shutdown_ramp
-        add(i, h, "dg-ramp-down", state.dg_prev_kw - applied.dg_kw - ramp_down_cap)
+        add(i, h, "dg-ramp-down", state.dg_prev_kw - dg_kw - ramp_down_cap)
 
     return violations

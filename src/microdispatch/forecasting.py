@@ -10,10 +10,10 @@ start hour (weights `kappa**1`, `kappa**2`, ...). That lets the forecast adapt
 to the current day: a cloudy morning drags the whole remaining horizon down.
 
 The state is a handful of read-only arrays, load in row 0 and PV in row 1.
-The ratio history is zero-initialised and newest first, and an entry whose
-prediction is not positive, a missing one included, counts as ratio 1.
-Forecasters are immutable; `observe` and `warm_up` return the advanced
-instance.
+The ratio history is newest first: each observation over the average it
+was predicted from, or 1 where that average was not positive or nothing has
+been observed yet. Forecasters are immutable; `observe` and `warm_up` return
+the advanced instance.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class LoadPvForecaster:
     theta: float
     kappa: float
     averages: np.ndarray      # (2, 24)
-    predicted: np.ndarray     # (2, 24, HISTORY_DEPTH), the average before each observation
-    actual: np.ndarray        # (2, 24, HISTORY_DEPTH), the observation itself
+    ratios: np.ndarray        # (2, 24, HISTORY_DEPTH), observed over predicted
     observations: np.ndarray  # (24,), days observed per hour
 
     def __post_init__(self):
@@ -47,14 +46,13 @@ class LoadPvForecaster:
             raise ValueError("theta must be in (0, 1]")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must be in (0, 1]")
-        for array in (self.averages, self.predicted, self.actual, self.observations):
+        for array in (self.averages, self.ratios, self.observations):
             array.setflags(write=False)
 
     @classmethod
     def fresh(cls, theta: float, kappa: float) -> "LoadPvForecaster":
-        history = np.zeros((2, HOURS_PER_DAY, HISTORY_DEPTH))
         return cls(theta=theta, kappa=kappa, averages=np.zeros((2, HOURS_PER_DAY)),
-                   predicted=history, actual=history.copy(),
+                   ratios=np.ones((2, HOURS_PER_DAY, HISTORY_DEPTH)),
                    observations=np.zeros(HOURS_PER_DAY, dtype=int))
 
     def _fold(self, hours: slice, observed: np.ndarray) -> "LoadPvForecaster":
@@ -67,16 +65,13 @@ class LoadPvForecaster:
         averages = self.averages.copy()
         averages[:, hours] = np.where(self.observations[hours] == 0, observed,
                                       self.theta * prior + (1.0 - self.theta) * observed)
-        predicted = self.predicted.copy()
-        predicted[:, hours, 1:] = self.predicted[:, hours, :-1]
-        predicted[:, hours, 0] = prior
-        actual = self.actual.copy()
-        actual[:, hours, 1:] = self.actual[:, hours, :-1]
-        actual[:, hours, 0] = observed
+        ratios = self.ratios.copy()
+        ratios[:, hours, 1:] = self.ratios[:, hours, :-1]
+        ratios[:, hours, 0] = np.divide(observed, prior, out=np.ones_like(prior),
+                                        where=prior > 0.0)
         observations = self.observations.copy()
         observations[hours] += 1
-        return replace(self, averages=averages, predicted=predicted, actual=actual,
-                       observations=observations)
+        return replace(self, averages=averages, ratios=ratios, observations=observations)
 
     def observe(self, hour: int, load_kw: float, pv_kw: float) -> "LoadPvForecaster":
         """Fold one day's observation at `hour` into that hour's averages."""
@@ -105,12 +100,11 @@ class LoadPvForecaster:
             raise ColdForecasterError(
                 "forecaster has unobserved hours; warm it up on at least one full day")
         factors = []
-        for predicted, actual in zip(self.predicted[:, start].tolist(),
-                                     self.actual[:, start].tolist()):
+        for ratios in self.ratios[:, start].tolist():
             num = den = 0.0
             for j in range(HISTORY_DEPTH):
                 weight = self.kappa ** (j + 1)
-                num += weight * (actual[j] / predicted[j] if predicted[j] > 0.0 else 1.0)
+                num += weight * ratios[j]
                 den += weight
             factors.append(num / den)
         values = self.averages[:, hours] * np.array(factors)[:, None]

@@ -146,15 +146,12 @@ class MilpSolution:
     status: SolveStatus
     objective: float | None
     values: np.ndarray | None
-    names: tuple[str, ...] = ()
+    columns: dict[str, int] = field(repr=False)  # the solved model's name -> index
     node_count: int = 0
     iterations: int = 0
-    _by_name: dict = field(default_factory=dict, repr=False)
 
     def value(self, name: str) -> float:
-        if not self._by_name:
-            self._by_name.update({n: i for i, n in enumerate(self.names)})
-        return float(self.values[self._by_name[name]])
+        return float(self.values[self.columns[name]])
 
     @property
     def ok(self) -> bool:
@@ -166,14 +163,15 @@ class MilpSolution:
 
 
 class _Standard:
-    """The model as arrays: objective, bounds and one sparse row matrix."""
+    """The model as arrays: objective, bounds and one sparse row matrix. A
+    non-finite objective coefficient, row coefficient or right-hand side
+    raises SolverError naming the variable or the row."""
 
     def __init__(self, model: LinearProgram):
         n = model.num_vars
         m = model.num_rows
         self.n = n
         self.m = m
-        self.names = tuple(model.names)
         self.lb = np.array(model.lower, dtype=float)
         self.ub = np.array(model.upper, dtype=float)
         self.binaries = np.flatnonzero(model.is_binary)
@@ -193,6 +191,19 @@ class _Standard:
         self.rows.eliminate_zeros()
         self.rels = np.array([rel for _, rel, _ in model.rows], dtype="<U2")
         self.rhs = np.array([b for _, _, b in model.rows], dtype=float)
+
+        bad = np.flatnonzero(~np.isfinite(self.c))
+        if bad.size:
+            raise SolverError(
+                f"variable {model.names[bad[0]]!r} has objective coefficient {self.c[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(self.rows.data))
+        if bad.size:
+            row = int(np.searchsorted(self.rows.indptr, bad[0], side="right")) - 1
+            raise SolverError(f"row {row} has coefficient {self.rows.data[bad[0]]} on "
+                              f"variable {model.names[self.rows.indices[bad[0]]]!r}")
+        bad = np.flatnonzero(~np.isfinite(self.rhs))
+        if bad.size:
+            raise SolverError(f"row {bad[0]} has right-hand side {self.rhs[bad[0]]}")
 
     def columns(self):
         """The row matrix in the CSC arrays HiGHS's `passModel` takes, and
@@ -326,6 +337,6 @@ def solve_milp(model: LinearProgram, *, node_limit: int = DEFAULT_NODE_LIMIT,
         np.clip(x, std.lb, std.ub, out=x)
         x = std.verified(x)
         obj = float(std.c @ x + std.offset)
-    return MilpSolution(status=status, objective=obj, values=x, names=std.names,
+    return MilpSolution(status=status, objective=obj, values=x, columns=model._index,
                         node_count=max(int(info.mip_node_count), 0),
                         iterations=int(info.simplex_iteration_count))

@@ -5,7 +5,8 @@
 `perfbench/workloads.py` calls `decide` with five arguments, trains
 through `TrainingEnvironment`, `DqnConfig` and `train_agent`, and rolls out
 `DrlController` on what `train_agent` returns. A signature change that
-breaks either fails here, not first in a benchmark run.
+breaks either fails here, not first in a benchmark run. The benchmark's
+validator check must also pass on each MPC controller's setpoints.
 """
 
 import sys
@@ -16,6 +17,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
+import checks  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -29,6 +31,7 @@ from microdispatch.domain import (  # noqa: E402
     MicrogridState,
     TariffSchedule,
 )
+from microdispatch.forecasting import LoadPvForecaster  # noqa: E402
 from microdispatch.scenarios import (  # noqa: E402
     build_dayahead_scenarios,
     build_realtime_scenarios,
@@ -128,3 +131,35 @@ def test_rollout_runs_the_trained_network():
     reports = workloads._round_train(run, setup)
     assert list(reports) == ["drl"] and reports["drl"].hours == 24
     assert run.cache_lookups == 1
+
+
+@pytest.fixture(scope="module")
+def mpc_controllers():
+    """The three MPC controllers on seed-0 inputs, as perfbench builds them."""
+    train, test = split_train_test(generate_dataset(SyntheticParams(seed=0, days=60)))
+    realtime = build_realtime_scenarios(kmeans([d.load_kw for d in train], 5, seed=0),
+                                        kmeans([d.pv_kw for d in train], 5, seed=1))
+    forecaster = LoadPvForecaster.fresh(CFG.forecast_theta,
+                                        CFG.forecast_kappa).warm_up(train)
+    return test[:1], {
+        dispatch.PERFECT: controllers.MpcController(dispatch.PERFECT),
+        dispatch.FORECAST: controllers.MpcController(dispatch.FORECAST,
+                                                     forecaster=forecaster),
+        dispatch.STOCHASTIC: controllers.MpcController(dispatch.STOCHASTIC,
+                                                       scenarios=realtime)}
+
+
+@pytest.mark.parametrize("mode", [dispatch.PERFECT, dispatch.FORECAST, dispatch.STOCHASTIC])
+def test_mpc_setpoints_flag_no_stop_on_an_idle_generator(mpc_controllers, mode):
+    """A 1-day reset run with the zero commitment cached: every setpoint says
+    what the plant will do, and the benchmark's validator check passes."""
+    days, controller = mpc_controllers[0], mpc_controllers[1][mode]
+    options = controllers.SimulationOptions(initial_soc_kwh=12500.0, reset_soc_kwh=12500.0)
+    report = controllers.run_simulation(
+        controller, days, TARIFF, CFG, None, options,
+        commitment_cache={round(CFG.ess_energy_end, 6): Commitment.zero()})
+    assert report.hours == 24
+    idle_stops = [r.state.hour_of_day for r in report.records
+                  if r.setpoint.dg_stop and not r.state.dg_on]
+    assert idle_stops == []
+    assert checks.check_validator(report, CFG) == []

@@ -96,6 +96,17 @@ def test_an_infeasible_day_ahead_is_one_error_line(small_year, infeasible_config
     assert capsys.readouterr().err == "error: day-ahead solve ended infeasible\n"
 
 
+def test_a_non_finite_config_value_is_one_error_line(small_year, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "microgrid": {"dg_unit_cost": float("nan")},
+        "tariff": {"hourly_price": list(TariffSchedule().hourly_price)}}))
+    assert run(["compare", "--data", str(small_year), "--config", str(config),
+                "--controllers", "rule-based,mpc-perfect", "--days", "1",
+                "--out", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: dg_unit_cost must be finite\n"
+
+
 class TestTrainDrl:
     def test_prints_training_time_and_rate(self, small_year, tmp_path, capsys):
         weights = tmp_path / "w.json"
@@ -260,9 +271,12 @@ class TestSimulateCompareValidate:
         assert capsys.readouterr().err == ""
 
     def test_compare_without_controllers_is_an_error(self, small_year, tmp_path, capsys):
-        assert run(["compare", "--data", str(small_year), "--controllers", " , ",
-                    "--out", str(tmp_path / "cmp")]) == 2
-        assert "--controllers must name at least one controller" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compare", "--data", str(small_year), "--controllers", " , ",
+                 "--out", str(tmp_path / "cmp")])
+        assert exc_info.value.code == 1
+        assert "argument --controllers: expected comma-separated kinds" in \
+            capsys.readouterr().err
 
     def test_validate_subcommand_is_gone(self, small_year, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -380,6 +394,18 @@ class TestSimulateCompareValidate:
         assert not out.exists()
 
     def test_unknown_controller_rejected(self, small_year, tmp_path):
-        assert run(["compare", "--data", str(small_year),
-                    "--controllers", "telepathy", "--days", "1",
-                    "--out", str(tmp_path / "x")]) == 2
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compare", "--data", str(small_year),
+                 "--controllers", "telepathy", "--days", "1",
+                 "--out", str(tmp_path / "x")])
+        assert exc_info.value.code == 1
+
+    @pytest.mark.parametrize("kinds", ["foo", "rule-based,foo"])
+    def test_bad_controllers_fail_before_reading_data(self, tmp_path, capsys, kinds):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compare", "--data", str(tmp_path / "missing.csv"), "--controllers", kinds,
+                 "--out", str(tmp_path / "x")])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --controllers: expected comma-separated kinds" in err
+        assert repr(kinds) in err

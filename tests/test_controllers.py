@@ -75,7 +75,7 @@ class TestRuleBased:
         assert sp.dg_kw == pytest.approx(min(0.75 * CFG.dg_power_max,
                                              CFG.dg_startup_ramp))
         assert sp.dg_kw == pytest.approx(4000.0)
-        assert sp.dg_start
+        assert not sp.dg_stop  # a start needs no flag
 
     def test_high_soc_stops_within_shutdown_ramp(self):
         sp = rule_based_decide(state_at(soc=21000.0, dg_prev=3000.0), 5000.0, 5000.0,
@@ -267,7 +267,7 @@ class TestModeEquivalences:
                     scenarios=scen, measured_load_kw=float(day.load_kw[h]),
                     measured_pv_kw=float(day.pv_kw[h]))
                 sol = solve_milp(build_realtime(ctx, tariff, config, STOCHASTIC))
-                return extract_setpoint(sol, config)
+                return extract_setpoint(sol, state, config)
 
         s = run_simulation(CollapsedStochastic(forecaster), [day], TARIFF, CFG,
                            pipeline["scen_d"])

@@ -110,6 +110,17 @@ class TestProfilesCsv:
         with pytest.raises(DataFormatError, match=":4"):
             read_profiles(path)
 
+    @pytest.mark.parametrize("row", ["0,2,nan,0", "0,2,6000,inf", "0,2,-inf,0"])
+    def test_non_finite_power_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        rows = ["day,hour,load_kw,pv_kw"]
+        rows += [f"0,{h},6000,0" for h in range(24)]
+        rows[3] = row
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as exc_info:
+            read_profiles(path)
+        assert str(exc_info.value) == f"{path}:4: non-finite power"
+
     def test_unparseable_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["day,hour,load_kw,pv_kw", "0,0,abc,0"]
@@ -159,6 +170,25 @@ class TestConfigJson:
         with pytest.raises(DataFormatError) as exc_info:
             load_config(path)
         assert str(exc_info.value) == f"{path}: forecast_theta must be in (0, 1]"
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("microgrid", "dg_unit_cost", float("nan")),
+        ("microgrid", "ess_power_cap", float("inf")),
+        ("tariff", "hourly_price", float("nan")),
+    ])
+    def test_non_finite_value_names_the_file_and_field(self, tmp_path, block, field, value):
+        path = tmp_path / "config.json"
+        payload = config_payload()
+        if block == "tariff":
+            payload["tariff"]["hourly_price"][7] = value
+            expected = "tariff price at hour 7 must be finite, got nan"
+        else:
+            payload["microgrid"][field] = value
+            expected = f"{field} must be finite"
+        path.write_text(json.dumps(payload))  # NaN and Infinity, as json writes them
+        with pytest.raises(DataFormatError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == f"{path}: {expected}"
 
 
 class TestCommitmentJson:

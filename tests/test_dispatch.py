@@ -70,8 +70,8 @@ def point_feasible(model, x, tol=1e-6):
 
 def assert_same_standard_form(a, b):
     """The two models hand the solver equal arrays, names included."""
+    assert a.names == b.names
     sa, sb = _Standard(a), _Standard(b)
-    assert sa.names == sb.names
     assert sa.offset == sb.offset
     for field in ("c", "lb", "ub", "binaries", "rels", "rhs"):
         assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
@@ -199,9 +199,7 @@ class TestRealtimeBuilder:
         assert solution.status is SolveStatus.OPTIMAL
         expected = sum(TARIFF.price(t) * 2000.0 for t in range(24))
         assert solution.objective == pytest.approx(expected, rel=1e-9)
-        assert extract_setpoint(solution, CFG) == pytest.approx_setpoint_zero \
-            if hasattr(pytest, "approx_setpoint_zero") else True
-        sp = extract_setpoint(solution, CFG)
+        sp = extract_setpoint(solution, ctx.state, CFG)
         assert sp.dg_kw == 0.0 and sp.ess_charge_kw == 0.0 and sp.ess_discharge_kw == 0.0
 
     def test_objective_equals_cost_of_full_plan(self):
@@ -247,8 +245,8 @@ class TestRealtimeBuilder:
             ctx_f = perfect_context(day, hour=hour, soc=soc)
             sol_p = solve_milp(build_realtime(ctx_p, TARIFF, CFG, PERFECT))
             sol_f = solve_milp(build_realtime(ctx_f, TARIFF, CFG, FORECAST))
-            sp_p = extract_setpoint(sol_p, CFG)
-            sp_f = extract_setpoint(sol_f, CFG)
+            sp_p = extract_setpoint(sol_p, ctx_p.state, CFG)
+            sp_f = extract_setpoint(sol_f, ctx_f.state, CFG)
             assert sp_p == sp_f
 
     def test_stochastic_with_identical_scenarios_collapses(self):
@@ -270,8 +268,8 @@ class TestRealtimeBuilder:
                     measured_pv_kw=float(day.pv_kw[hour]))
                 model_s = build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC)
                 assert_same_standard_form(model_s, model_f)
-                sp_f = extract_setpoint(solve_milp(model_f), CFG)
-                assert extract_setpoint(solve_milp(model_s), CFG) == sp_f
+                sp_f = extract_setpoint(solve_milp(model_f), ctx_f.state, CFG)
+                assert extract_setpoint(solve_milp(model_s), ctx_s.state, CFG) == sp_f
 
     def test_feasibility_closure_of_day_ahead_commitment(self):
         profiles = [flat_day(7000, 1000), flat_day(5500, 9000), flat_day(6000, 4000)]
@@ -339,7 +337,7 @@ class TestRealtimeBuilder:
         day = flat_day(9000, 0)
         ctx = perfect_context(day, soc=2500.0)
         solution = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT, elastic=True))
-        sp = extract_setpoint(solution, CFG)
+        sp = extract_setpoint(solution, ctx.state, CFG)
         assert sp.dg_kw > 0
         assert CFG.dg_power_min <= sp.dg_kw <= CFG.dg_power_max
         assert sp.ess_charge_kw * sp.ess_discharge_kw == 0.0
@@ -349,25 +347,30 @@ def first_hour_solution(**values):
     """An optimal real-time solution with only first-hour values, zero by default."""
     names = ("dg[0]", "ch[0]", "dis[0]", "uess[0]", "udg[0]", "start[0]", "stop[0]")
     x = np.array([values.get(name[:-3], 0.0) for name in names])
-    return MilpSolution(status=SolveStatus.OPTIMAL, objective=0.0, values=x, names=names)
+    return MilpSolution(status=SolveStatus.OPTIMAL, objective=0.0, values=x,
+                        columns={name: i for i, name in enumerate(names)})
 
 
 class TestStartStopFlags:
+    # flags: the generator runs at the window's boundary, and dg_stop
     @pytest.mark.parametrize("values, flags", [
         # a start that uses a quarter of the startup ramp; the stray stop
         # value is feasible in a start hour and must not reach the plant
-        (dict(udg=1.0, dg=1000.0, start=0.25, stop=0.5), (True, False)),
+        (dict(udg=1.0, dg=1000.0, start=0.25, stop=0.5), (False, False)),
         # a running hour that uses part of the shutdown ramp
-        (dict(udg=1.0, dg=2000.0, stop=0.3), (False, True)),
+        (dict(udg=1.0, dg=2000.0, stop=0.3), (True, True)),
         # a shut-down
-        (dict(udg=0.0, stop=1.0), (False, True)),
+        (dict(udg=0.0, stop=1.0), (True, True)),
         # solver dust is no flag
         (dict(udg=1.0, dg=5000.0, start=0.5 * ROUND_TOL, stop=0.5 * ROUND_TOL),
-         (False, False)),
+         (True, False)),
+        # an idle hour, where the model leaves stop[0] free
+        (dict(udg=0.0, stop=1.0), (False, False)),
     ])
     def test_flags_from_continuous_values(self, values, flags):
-        sp = extract_setpoint(first_hour_solution(**values), CFG)
-        assert (sp.dg_start, sp.dg_stop) == flags
+        running, stop = flags
+        state = state_at(12, 12500.0, 3000.0 if running else 0.0)
+        assert extract_setpoint(first_hour_solution(**values), state, CFG).dg_stop == stop
 
     def test_plant_applies_a_plan_on_the_shutdown_ramp(self):
         # running at 8000 kW with an empty battery and 3000 kW to cover: the
@@ -380,12 +383,12 @@ class TestStartStopFlags:
         ctx = RealTimeContext(state=state, start_hour=20, hours=4, commitment=commitment,
                               load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
         solution = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT))
-        sp = extract_setpoint(solution, CFG)
+        sp = extract_setpoint(solution, state, CFG)
         assert sp.dg_kw == pytest.approx(3000.0, abs=1e-6)
-        assert sp.dg_stop and not sp.dg_start
+        assert sp.dg_stop
         outcome = step_plant(state, sp, commitment.hour(20), 3000.0, 0.0,
                              TARIFF.price(20), CFG)
-        assert outcome.applied.dg_kw == sp.dg_kw
+        assert outcome.ledger.dg_kw == sp.dg_kw
         assert not outcome.blackout
 
 

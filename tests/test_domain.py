@@ -4,9 +4,11 @@ import pytest
 from microdispatch.domain import (
     Commitment,
     CommittedHour,
+    DayProfile,
     DispatchSetpoint,
     MicrogridConfig,
     MicrogridState,
+    PowerLedger,
     TariffSchedule,
     TrajectoryError,
     advance_state,
@@ -24,26 +26,32 @@ def make_state(hour=0, soc=10000.0, dg_prev=0.0):
                           dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
 
 
+def ledger(**powers):
+    """A realized hour with every power zero except `powers`."""
+    fields = dict.fromkeys(("load_kw", "pv_kw", "grid_buy_kw", "grid_sell_kw",
+                            "reserve_down_kw", "reserve_up_kw", "dg_kw",
+                            "ess_discharge_kw", "ess_charge_kw"), 0.0)
+    return PowerLedger(**{**fields, **powers})
+
+
 class TestStepCost:
     def test_pure_grid_buy_at_evening_peak(self):
         # import 1000 kW at the hour-20 price
-        committed = CommittedHour(grid_buy_kw=1000.0, buying=True)
-        cost = step_cost(DispatchSetpoint(), committed, TARIFF.price(20), CFG)
+        cost = step_cost(ledger(grid_buy_kw=1000.0), TARIFF.price(20), CFG)
         assert cost == pytest.approx(330.0, abs=1e-12)
 
     def test_all_zero_is_free(self):
-        assert step_cost(DispatchSetpoint(), CommittedHour(), 0.144, CFG) == 0.0
+        assert step_cost(ledger(), 0.144, CFG) == 0.0
 
     def test_mixed_terms(self):
         # -288 (sell) - 40 (reserve) + 10 (ESS) + 650 (DG) = 332
-        committed = CommittedHour(grid_sell_kw=2000.0, reserve_down_kw=1000.0, buying=False)
-        sp = DispatchSetpoint(dg_kw=1000.0, ess_discharge_kw=500.0)
-        assert step_cost(sp, committed, 0.144, CFG) == pytest.approx(332.0, abs=1e-12)
+        hour = ledger(grid_sell_kw=2000.0, reserve_down_kw=1000.0,
+                      dg_kw=1000.0, ess_discharge_kw=500.0)
+        assert step_cost(hour, 0.144, CFG) == pytest.approx(332.0, abs=1e-12)
 
     def test_negative_power_rejected(self):
-        committed = CommittedHour(grid_buy_kw=-5.0)
         with pytest.raises(ValueError):
-            step_cost(DispatchSetpoint(), committed, 0.144, CFG)
+            step_cost(ledger(grid_buy_kw=-5.0), 0.144, CFG)
 
 
 class TestTypes:
@@ -59,11 +67,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             TariffSchedule(hourly_price=(0.0,) + (0.1,) * 23)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_fields_must_be_finite(self, value):
+        for name in ("dg_unit_cost", "ess_power_cap", "forecast_kappa"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                MicrogridConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_tariff_prices_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="hour 5 must be finite"):
+            TariffSchedule(hourly_price=(0.1,) * 5 + (value,) + (0.1,) * 18)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_profile_values_must_be_finite(self, value):
+        flat = np.full(24, 100.0)
+        for load, pv in ((np.where(np.arange(24) == 3, value, flat), flat),
+                         (flat, np.where(np.arange(24) == 12, value, flat))):
+            with pytest.raises(ValueError, match="must be finite"):
+                DayProfile(load_kw=load, pv_kw=pv)
+
     def test_setpoint_complementarity(self):
         with pytest.raises(ValueError):
             DispatchSetpoint(ess_charge_kw=10.0, ess_discharge_kw=10.0)
-        with pytest.raises(ValueError):
-            DispatchSetpoint(dg_start=True, dg_stop=True)
 
     def test_state_dg_consistency(self):
         with pytest.raises(ValueError):
@@ -116,7 +141,7 @@ class TestStepPlant:
                          CommittedHour(), load_kw=8000.0, pv_kw=0.0,
                          price=0.2, config=CFG)
         # only 95 kWh above the floor: 95 * 0.95 kW deliverable
-        assert out.applied.ess_discharge_kw == pytest.approx(95.0 * 0.95)
+        assert out.ledger.ess_discharge_kw == pytest.approx(95.0 * 0.95)
         assert out.soc_kwh == pytest.approx(CFG.ess_energy_min)
 
     def test_charge_clipped_by_reserve_headroom(self):
@@ -124,41 +149,48 @@ class TestStepPlant:
         committed = CommittedHour(reserve_up_kw=6000.0, buying=True)
         out = step_plant(state, DispatchSetpoint(ess_charge_kw=5000.0), committed,
                          load_kw=0.0, pv_kw=5000.0, price=0.2, config=CFG)
-        assert out.applied.ess_charge_kw == pytest.approx(2000.0)
+        assert out.ledger.ess_charge_kw == pytest.approx(2000.0)
 
     def test_dg_start_clamped_to_startup_ramp(self):
         state = make_state(soc=9000.0)
         out = step_plant(state, DispatchSetpoint(dg_kw=8250.0), CommittedHour(),
                          load_kw=5000.0, pv_kw=0.0, price=0.2, config=CFG)
-        assert out.applied.dg_kw == pytest.approx(CFG.dg_startup_ramp)
-        assert out.applied.dg_start
+        assert out.ledger.dg_kw == pytest.approx(CFG.dg_startup_ramp)
+        assert not state.dg_on and advance_state(state, out).dg_on
 
     def test_dg_stop_allowed_only_under_shutdown_ramp(self):
         state = make_state(soc=21000.0, dg_prev=3000.0)
         out = step_plant(state, DispatchSetpoint(dg_kw=0.0), CommittedHour(),
                          load_kw=0.0, pv_kw=3000.0, price=0.2, config=CFG)
-        assert out.applied.dg_kw == 0.0
-        assert out.applied.dg_stop
+        assert out.ledger.dg_kw == 0.0
+        assert out.dg_stop
 
         state = make_state(soc=21000.0, dg_prev=9000.0)
         out = step_plant(state, DispatchSetpoint(dg_kw=0.0), CommittedHour(),
                          load_kw=9000.0, pv_kw=0.0, price=0.2, config=CFG)
-        assert out.applied.dg_kw == pytest.approx(9000.0 - CFG.dg_ramp_down)
-        assert not out.applied.dg_stop
+        assert out.ledger.dg_kw == pytest.approx(9000.0 - CFG.dg_ramp_down)
+        assert not out.dg_stop
 
     def test_dg_run_ramp_window(self):
         state = make_state(soc=15000.0, dg_prev=5000.0)
         out = step_plant(state, DispatchSetpoint(dg_kw=11000.0), CommittedHour(),
                          load_kw=9000.0, pv_kw=0.0, price=0.2, config=CFG)
-        assert out.applied.dg_kw == pytest.approx(8000.0)
+        assert out.ledger.dg_kw == pytest.approx(8000.0)
 
     def test_stop_flag_widens_down_ramp(self):
         state = make_state(soc=15000.0, dg_prev=10000.0)
         sp = DispatchSetpoint(dg_kw=3000.0, dg_stop=True)
         out = step_plant(state, sp, CommittedHour(), load_kw=3000.0, pv_kw=0.0,
                          price=0.2, config=CFG)
-        assert out.applied.dg_kw == pytest.approx(3000.0)
-        assert out.applied.dg_stop
+        assert out.ledger.dg_kw == pytest.approx(3000.0)
+        assert out.dg_stop
+
+    def test_stop_flag_on_an_idle_generator_is_ignored(self):
+        state = make_state(soc=15000.0)
+        out = step_plant(state, DispatchSetpoint(dg_stop=True), CommittedHour(),
+                         load_kw=0.0, pv_kw=0.0, price=0.2, config=CFG)
+        assert out.ledger.dg_kw == 0.0
+        assert not out.dg_stop
 
 
 def run_steps(state, decisions, commitment, loads, pvs, cfg=CFG):
@@ -188,7 +220,7 @@ class TestValidateTrajectory:
         assert "power-balance" in tags
 
     def test_hand_built_ramp_violation(self):
-        # forge an outcome whose DG jumps 5000 kW mid-run with no start flag
+        # forge an outcome whose DG jumps 5000 kW mid-run
         commitment = Commitment.zero()
         state = make_state(soc=12000.0, dg_prev=2000.0)
         good = step_plant(state, DispatchSetpoint(dg_kw=2000.0), commitment.hour(0),
@@ -196,7 +228,6 @@ class TestValidateTrajectory:
         forged_sp = DispatchSetpoint(dg_kw=7000.0)
         forged = step_plant(state, forged_sp, commitment.hour(0), 7000.0, 0.0,
                             TARIFF.price(0), CFG)
-        object.__setattr__(forged.applied, "dg_kw", 7000.0)
         object.__setattr__(forged.ledger, "dg_kw", 7000.0)
         violations = validate_trajectory([(state, forged_sp, forged)], commitment, CFG)
         assert [v.constraint for v in violations] == ["dg-ramp-up"]
@@ -204,6 +235,22 @@ class TestValidateTrajectory:
         # sanity: the unforged step is clean
         assert validate_trajectory([(state, DispatchSetpoint(dg_kw=2000.0), good)],
                                    commitment, CFG) == []
+
+    def test_stop_flag_on_an_idle_generator_is_a_finding(self):
+        commitment = Commitment.zero()
+        idle_stop = DispatchSetpoint(dg_stop=True)
+        steps = run_steps(make_state(), [DispatchSetpoint(), idle_stop], commitment,
+                          loads=[1000.0] * 2, pvs=[1500.0] * 2)
+        violations = validate_trajectory(steps, commitment, CFG)
+        assert [(v.step, v.constraint) for v in violations] == [(1, "dg-stop-idle")]
+
+    def test_stop_flag_on_a_running_generator_is_clean(self):
+        commitment = Commitment.zero()
+        steps = run_steps(make_state(soc=15000.0, dg_prev=10000.0),
+                          [DispatchSetpoint(dg_kw=3000.0, dg_stop=True)], commitment,
+                          loads=[3000.0], pvs=[0.0])
+        assert steps[0][2].dg_stop
+        assert validate_trajectory(steps, commitment, CFG) == []
 
     def test_non_consecutive_hours_rejected(self):
         commitment = Commitment.zero()
@@ -244,14 +291,14 @@ class TestPlantProperties:
             out = step_plant(state, sp, commitment.hour(state.hour_of_day),
                              load, pv, TARIFF.price(state.hour_of_day), CFG)
             # SOC recursion is exact and bounded
-            expected = (state.soc_kwh - CFG.eta_discharge * out.applied.ess_discharge_kw
-                        + CFG.eta_charge * out.applied.ess_charge_kw)
+            expected = (state.soc_kwh - CFG.eta_discharge * out.ledger.ess_discharge_kw
+                        + CFG.eta_charge * out.ledger.ess_charge_kw)
             assert out.soc_kwh == pytest.approx(expected, rel=1e-9)
             assert CFG.ess_energy_min - 1e-9 <= out.soc_kwh <= CFG.ess_energy_max + 1e-9
-            assert out.applied.ess_charge_kw * out.applied.ess_discharge_kw == 0.0
-            assert out.applied.ess_charge_kw <= CFG.ess_power_cap
-            assert out.applied.ess_discharge_kw <= CFG.ess_power_cap
-            assert out.applied.dg_kw <= CFG.dg_power_max
+            assert out.ledger.ess_charge_kw * out.ledger.ess_discharge_kw == 0.0
+            assert out.ledger.ess_charge_kw <= CFG.ess_power_cap
+            assert out.ledger.ess_discharge_kw <= CFG.ess_power_cap
+            assert out.ledger.dg_kw <= CFG.dg_power_max
             total_cost += out.step_cost
             steps.append((state, sp, out))
             state = advance_state(state, out)

@@ -70,9 +70,9 @@ def action_setpoint(index, state):
 class TestActionMap:
     def test_action_zero_is_off_with_stop_flag(self):
         sp = action_setpoint(0, make_state(dg_prev=3000.0))
-        assert sp.dg_kw == 0.0 and sp.dg_stop and not sp.dg_start
+        assert sp.dg_kw == 0.0 and sp.dg_stop
         sp = action_setpoint(0, make_state())
-        assert sp.dg_kw == 0.0 and not sp.dg_stop and not sp.dg_start
+        assert sp.dg_kw == 0.0 and not sp.dg_stop
 
     def test_top_action_reaches_nameplate_when_running_near_it(self):
         sp = action_setpoint(39, make_state(dg_prev=11000.0))
@@ -85,7 +85,7 @@ class TestActionMap:
         # from standstill the same request clamps to the startup ramp
         sp = action_setpoint(20, make_state())
         assert sp.dg_kw == pytest.approx(CFG.dg_startup_ramp)
-        assert sp.dg_start and not sp.dg_stop
+        assert not sp.dg_stop  # a start needs no flag
 
     def test_out_of_range_action_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +455,7 @@ class TestDrlController:
         sp = controller.decide(make_state(soc=20000.0), day, Commitment.zero(),
                                TariffSchedule(), CFG)
         assert sp.dg_kw == pytest.approx(CFG.dg_startup_ramp)  # ramp-clamped max
-        assert sp.dg_start
+        assert not sp.dg_stop  # a start needs no flag
 
     def test_decisions_deterministic(self):
         rng = np.random.default_rng(21)

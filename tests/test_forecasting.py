@@ -8,17 +8,16 @@ from microdispatch.forecasting import HISTORY_DEPTH, ColdForecasterError, LoadPv
 
 
 def with_history(pairs, kappa=0.7):
-    """A forecaster whose every average is 1 and whose every hour holds the
-    same (predicted, actual) `pairs`, newest first, in both series; its
-    one-hour forecast is then the scaling factor itself."""
+    """A forecaster whose every average is 1 and whose every hour has folded
+    the same (predicted, actual) `pairs`, newest first, in both series, each
+    actual observed while the average equalled its prediction; its one-hour
+    forecast is then the scaling factor itself."""
     f = LoadPvForecaster.fresh(0.8, kappa)
-    predicted = np.zeros_like(f.predicted)
-    actual = np.zeros_like(f.actual)
-    for j, (y, x) in enumerate(pairs):
-        predicted[:, :, j] = y
-        actual[:, :, j] = x
-    return replace(f, averages=np.ones((2, HOURS_PER_DAY)), predicted=predicted,
-                   actual=actual, observations=np.ones(HOURS_PER_DAY, dtype=int))
+    ones = np.ones((2, HOURS_PER_DAY))
+    seen = np.ones(HOURS_PER_DAY, dtype=int)
+    for y, x in reversed(pairs):
+        f = replace(f, averages=y * ones, observations=seen)._fold(slice(None), x * ones)
+    return replace(f, averages=ones, observations=seen)
 
 
 def scaling_factors(pairs, kappa=0.7):
@@ -44,7 +43,7 @@ def random_days(n, seed):
 
 
 def state(f):
-    return (f.averages, f.predicted, f.actual, f.observations)
+    return (f.averages, f.ratios, f.observations)
 
 
 class TestMovingAverage:
@@ -94,7 +93,7 @@ class TestMovingAverage:
         f = LoadPvForecaster.fresh(0.8, 0.7).observe(3, 100.0, 1.0).observe(9, 50.0, 2.0)
         untouched = [h for h in range(HOURS_PER_DAY) if h not in (3, 9)]
         assert not f.averages[:, untouched].any()
-        assert not f.actual[:, untouched].any()
+        assert (f.ratios[:, untouched] == 1.0).all()
         assert not f.observations[untouched].any()
 
 

@@ -201,6 +201,23 @@ class TestSolveMilp:
         with pytest.raises(SolverError):
             solve_milp(model, start={3: 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where, message", [
+        ("objective", "variable 'y' has objective coefficient"),
+        ("row", "row 0 has coefficient .* on variable 'y'"),
+        ("rhs", "row 0 has right-hand side"),
+    ], ids=["objective", "row", "rhs"])
+    def test_non_finite_data_is_refused_before_highs(self, bad, where, message):
+        model = LinearProgram()
+        x = model.add_var("x", 0, 1)
+        y = model.add_binary("y")
+        model.set_objective(x, 1.0)
+        model.set_objective(y, bad if where == "objective" else 1.0)
+        model.add_row([(x, 1.0), (y, bad if where == "row" else 1.0)], ">=",
+                      bad if where == "rhs" else 1.0)
+        with pytest.raises(SolverError, match=message):
+            solve_milp(model)
+
     def test_node_limit_reports_iteration_limit(self):
         rng = np.random.default_rng(3)
         # a model that genuinely needs branching
