@@ -17,6 +17,7 @@ import time
 
 from microdispatch.controllers import (
     CONTROLLER_KINDS,
+    DRL,
     MPC_FORECAST,
     MPC_PERFECT,
     MPC_STOCHASTIC,
@@ -174,9 +175,7 @@ def _build_controller(kind, train, config, args):
         pv_heads = kmeans([d.pv_kw for d in train], 5, seed=args.seed + 1)
         return MpcController(STOCHASTIC,
                              scenarios=build_realtime_scenarios(load_heads, pv_heads))
-    # the last of CONTROLLER_KINDS: the DQN
-    if not args.weights:
-        raise DataFormatError("the drl controller needs --weights")
+    # the last of CONTROLLER_KINDS: the DQN, whose --weights `main` checked
     return DrlController(MlpNetwork.load(args.weights))
 
 
@@ -374,6 +373,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    kinds = getattr(args, "controllers", [getattr(args, "controller", None)])
+    if DRL in kinds and not args.weights:
+        parser.error("the drl controller needs --weights")
     try:
         return args.func(args)
     except (ExtractionError, FileNotFoundError, SolverError, ValueError) as exc:

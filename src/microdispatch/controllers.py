@@ -3,7 +3,9 @@
 Each controller maps the current plant state and today's data to a dispatch
 setpoint; what slice of the day a controller may read encodes its
 information set (the clairvoyant MPC sees the whole remaining day, everyone
-else only the current hour). `run_simulation` drives the two-stage protocol:
+else only the current hour). `MpcController.decide` is the one place that
+turns an MPC mode into the profiles the window believes; the model builders
+in `dispatch` read only those. `run_simulation` drives the two-stage protocol:
 a commitment fixed at each midnight, then one controller decision and one
 plant step per hour, with coupling state carried across days.
 """
@@ -26,7 +28,6 @@ from microdispatch.dispatch import (
     extract_setpoint,
     shifted_start,
     solve_day_ahead,
-    window_profiles,
 )
 from microdispatch.domain import (
     HOURS_PER_DAY,
@@ -117,23 +118,50 @@ class RuleBasedController:
                                  commitment.hour(h), config)
 
 
+def scenario_window(scenarios: ScenarioSet, hour: int, load_kw: float,
+                    pv_kw: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The stochastic window from `hour` to midnight: (load rows, pv rows,
+    probabilities).
+
+    Each scenario's remaining day holds the live measurement in slot 0.
+    Scenarios that are then identical over the window merge into the first
+    of them, their probabilities summed: an exact reduction, which collapses
+    the program onto the deterministic one when all heads agree.
+    """
+    rows: list[list] = []  # [load, pv, probability]
+    for profile, prob in zip(scenarios.profiles, scenarios.probabilities):
+        load = np.array(profile.load_kw[hour:], dtype=float)
+        pv = np.array(profile.pv_kw[hour:], dtype=float)
+        load[0], pv[0] = load_kw, pv_kw
+        same = next((row for row in rows if np.array_equal(row[0], load)
+                     and np.array_equal(row[1], pv)), None)
+        if same is None:
+            rows.append([load, pv, float(prob)])
+        else:
+            same[2] += prob
+    loads, pvs, probabilities = zip(*rows)
+    return np.array(loads), np.array(pvs), probabilities
+
+
 class MpcController:
     """Rolling-horizon MPC in perfect, forecast, or stochastic mode.
 
-    Perfect mode reads the remaining day clairvoyantly; forecast mode reads
-    only the current hour and extends it with the held forecaster (which it
-    also feeds); stochastic mode substitutes the current hour into the
-    scenario heads. Infeasible windows are re-solved with an elastic balance
-    whose first-hour slack will surface as a plant blackout.
+    `decide` is the only code that branches on the mode, and it builds one
+    `RealTimeContext` of what the mode believes: perfect mode the remaining
+    day; forecast mode the current hour extended by the held forecaster
+    (which it also feeds); stochastic mode the current hour substituted into
+    the scenario heads (`scenario_window`). Infeasible windows are re-solved
+    with an elastic balance whose first-hour slack will surface as a plant
+    blackout.
 
-    The controller holds its last optimal, non-elastic window's profiles and
-    plan. Windows whose data repeat the plan's one hour later, which only the
-    previous hour's window can, start from its binaries (`shifted_start`);
-    every hour 0 solves cold. The start changes which of several optimal
-    points HiGHS may return, never the optimal window objective. The plan is
-    held here rather than passed through `decide`, because callers, the
-    benchmark's timing wrapper among them, call `decide` with the five
-    arguments every controller takes.
+    The controller holds its last optimal, non-elastic window's plan and
+    context. Windows whose data repeat the plan's one hour later, which only
+    the previous hour's window can, start from its binaries
+    (`shifted_start`); every hour 0 solves cold. The start changes which of
+    several optimal points HiGHS may return, never the optimal window
+    objective. The plan is held here rather than passed through `decide`,
+    because callers, the benchmark's timing wrapper among them, call
+    `decide` with the five arguments every controller takes.
     """
 
     def __init__(self, mode: str, forecaster: LoadPvForecaster | None = None,
@@ -157,36 +185,30 @@ class MpcController:
         hours = HOURS_PER_DAY - h
         load_now = float(day.load_kw[h])
         pv_now = float(day.pv_kw[h])
-
+        probabilities = (1.0,)
         if self.mode == PERFECT:
-            ctx = RealTimeContext(state=state, start_hour=h, hours=hours,
-                                  commitment=commitment,
-                                  load_kw=day.load_kw[h:], pv_kw=day.pv_kw[h:])
+            load, pv = day.load_kw[h:], day.pv_kw[h:]
         elif self.mode == FORECAST:
             self.forecaster = self.forecaster.observe(h, load_now, pv_now)
-            load_fc, pv_fc = self.forecaster.forecast_profile(h, hours)
-            load_fc[0] = load_now
-            pv_fc[0] = pv_now
-            ctx = RealTimeContext(state=state, start_hour=h, hours=hours,
-                                  commitment=commitment,
-                                  load_kw=load_fc, pv_kw=pv_fc)
+            load, pv = self.forecaster.forecast_profile(h, hours)
+            load[0], pv[0] = load_now, pv_now
         else:
-            ctx = RealTimeContext(state=state, start_hour=h, hours=hours,
-                                  commitment=commitment, scenarios=self.scenarios,
-                                  measured_load_kw=load_now, measured_pv_kw=pv_now)
+            load, pv, probabilities = scenario_window(self.scenarios, h, load_now, pv_now)
+        context = RealTimeContext(state=state, start_hour=h, hours=hours,
+                                  commitment=commitment, load_kw=load, pv_kw=pv,
+                                  probabilities=probabilities)
 
-        windows = window_profiles(ctx, self.mode)
-        model = build_realtime(ctx, tariff, config, self.mode)
+        model = build_realtime(context, tariff, config, self.mode)
         start = None
         if self._plan is not None:
-            plan_windows, plan = self._plan
-            start = shifted_start(model, windows, plan, plan_windows) or None
+            plan, plan_context = self._plan
+            start = shifted_start(model, context, plan, plan_context) or None
         solution = solve_milp(model, start=start)
         if solution.status is SolveStatus.OPTIMAL:
-            self._plan = (windows, solution)
+            self._plan = (solution, context)
         else:
             self._plan = None
-            solution = solve_milp(build_realtime(ctx, tariff, config, self.mode,
+            solution = solve_milp(build_realtime(context, tariff, config, self.mode,
                                                  elastic=True))
         if solution.status is not SolveStatus.OPTIMAL:
             raise ControllerError(
@@ -310,8 +332,7 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
             # legitimately undercut the clairvoyant optimum)
             state = MicrogridState(
                 hour_of_day=0, soc_kwh=options.reset_soc_kwh,
-                soc_midnight_kwh=options.reset_soc_kwh,
-                dg_prev_kw=0.0, dg_on=False)
+                soc_midnight_kwh=options.reset_soc_kwh)
         planning_soc = _planning_soc_value(options.planning_soc, state, config)
         key = round(planning_soc, 6)
         if key not in cache:

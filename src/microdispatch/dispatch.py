@@ -6,7 +6,10 @@ plant variables, each obeying the full constraint set. `build_realtime`
 assembles the rolling-window models the MPC controllers solve each hour,
 with the committed schedule folded in as constants (they enter the objective
 as a fixed offset, so solver objectives equal true window costs). Its first
-hour is written once, and each scenario's recourse chains from it.
+hour is written once, and each profile row of its `RealTimeContext` chains
+its own recourse from it. The builders know no MPC mode: what a mode
+believes about the rest of the day reaches them as those rows, which
+`MpcController.decide` fills in.
 
 All builders are pure; extraction helpers turn optimal solutions back into
 domain values, rounding at 1e-6 and enforcing the domain invariants exactly.
@@ -51,19 +54,20 @@ class RealTimeContext:
     """Everything a real-time solve needs at one decision hour.
 
     The window always runs to midnight, where the next commitment takes
-    over. Profiles carry the live measurement in slot 0; the tail is
-    clairvoyant, forecast, or scenario data depending on the mode.
+    over. `load_kw` and `pv_kw` hold one row per profile the controller
+    believes, each `hours` long and weighted by `probabilities`; a 1-D
+    profile is one row of probability 1. Every row holds the live
+    measurement in slot 0. Which rows an MPC mode believes is decided in
+    `MpcController.decide` alone.
     """
 
     state: MicrogridState
     start_hour: int
     hours: int
     commitment: Commitment
-    load_kw: np.ndarray | None = None       # deterministic modes, length == hours
-    pv_kw: np.ndarray | None = None
-    scenarios: ScenarioSet | None = None    # stochastic mode, full-day heads
-    measured_load_kw: float | None = None   # stochastic hour-1 live values
-    measured_pv_kw: float | None = None
+    load_kw: np.ndarray
+    pv_kw: np.ndarray
+    probabilities: tuple = (1.0,)
 
     def __post_init__(self):
         if self.hours < 1:
@@ -72,13 +76,16 @@ class RealTimeContext:
             raise ModelBuildError("context start hour disagrees with the state")
         if self.start_hour + self.hours != HOURS_PER_DAY:
             raise ModelBuildError("window must end at midnight")
-        if self.load_kw is not None:
-            load = np.asarray(self.load_kw, dtype=float)
-            pv = np.asarray(self.pv_kw, dtype=float)
-            if load.shape != (self.hours,) or pv.shape != (self.hours,):
-                raise ModelBuildError("profile length must equal hours remaining")
-            object.__setattr__(self, "load_kw", load)
-            object.__setattr__(self, "pv_kw", pv)
+        load = np.atleast_2d(np.asarray(self.load_kw, dtype=float))
+        pv = np.atleast_2d(np.asarray(self.pv_kw, dtype=float))
+        if load.shape[1:] != (self.hours,) or pv.shape != load.shape:
+            raise ModelBuildError("profile length must equal hours remaining")
+        if len(self.probabilities) != len(load):
+            raise ModelBuildError("one probability per profile row required")
+        if (load[:, 0] != load[0, 0]).any() or (pv[:, 0] != pv[0, 0]).any():
+            raise ModelBuildError("profile rows disagree on the live measurement")
+        object.__setattr__(self, "load_kw", load)
+        object.__setattr__(self, "pv_kw", pv)
 
 
 def _var(idx: int):
@@ -240,54 +247,21 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
     return lp
 
 
-def window_profiles(context: RealTimeContext, mode: str) -> list[list]:
-    """The window's (load, pv, probability) profiles.
-
-    A deterministic mode has one profile of probability 1. Stochastic mode
-    has one per scenario, with the live measurement replacing the first
-    hour, and merges scenarios that are then identical over the window: an
-    exact reduction, which collapses the program onto the deterministic one
-    when all heads agree.
-    """
-    if mode in (PERFECT, FORECAST):
-        if context.load_kw is None:
-            raise ModelBuildError(f"{mode} mode needs a profile in the context")
-        return [[context.load_kw, context.pv_kw, 1.0]]
-    if (context.scenarios is None or context.measured_load_kw is None
-            or context.measured_pv_kw is None):
-        raise ModelBuildError("stochastic mode needs scenarios and a live measurement")
-    scen = context.scenarios
-    h0 = context.start_hour
-    windows: list[list] = []
-    for profile, prob in zip(scen.profiles, scen.probabilities):
-        load = np.array(profile.load_kw[h0:], dtype=float)
-        pv = np.array(profile.pv_kw[h0:], dtype=float)
-        load[0], pv[0] = context.measured_load_kw, context.measured_pv_kw
-        for existing in windows:
-            if np.array_equal(existing[0], load) and np.array_equal(existing[1], pv):
-                existing[2] += prob
-                break
-        else:
-            windows.append([load, pv, float(prob)])
-    return windows
-
-
 def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
                    config: MicrogridConfig, mode: str,
                    *, elastic: bool = False) -> LinearProgram:
     """Rolling-window model with the committed schedule folded in as data.
 
     The first hour is written once from the live measurement, with its
-    variables named `dg[0]` ... `soc[0]`. Each window profile (see
-    `window_profiles`) then chains its own recourse from it, weighted by its
-    probability: hours k >= 1 of profile `s` are named `dg[s,k]`. A
-    deterministic mode is the single-profile case. With `elastic`, the
-    balance rows gain a penalized shortfall variable so an unreachable
-    commitment produces a plan instead of an infeasibility.
+    variables named `dg[0]` ... `soc[0]`. Each profile row of the context
+    then chains its own recourse from it, weighted by its probability: hours
+    k >= 1 of row `s` are named `dg[s,k]`. The model depends on the
+    context alone; `mode` names the window and must be a known mode. With
+    `elastic`, the balance rows gain a penalized shortfall variable so an
+    unreachable commitment produces a plan instead of an infeasibility.
     """
     if mode not in (PERFECT, FORECAST, STOCHASTIC):
         raise ModelBuildError(f"unknown mode {mode!r}")
-    windows = window_profiles(context, mode)
     state = context.state
     h0 = context.start_hour
     committed = [context.commitment.hour(h0 + k) for k in range(context.hours)]
@@ -310,9 +284,10 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
 
     boundary = {"soc": _const(state.soc_kwh), "udg": _const(state.dg_on),
                 "dg": _const(state.dg_prev_kw)}
-    # every window holds the same live measurement in slot 0
-    first = hour("0", boundary, 1.0, windows[0][0], windows[0][1], 0)
-    for s, (load, pv, prob) in enumerate(windows):
+    # every row holds the same live measurement in slot 0
+    first = hour("0", boundary, 1.0, context.load_kw[0], context.pv_kw[0], 0)
+    for s, (load, pv, prob) in enumerate(zip(context.load_kw, context.pv_kw,
+                                             context.probabilities)):
         v = first
         for k in range(1, context.hours):
             v = hour(f"{s},{k}", _carried(v), prob, load, pv, k)
@@ -320,23 +295,23 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
     return lp
 
 
-def shifted_start(model: LinearProgram, windows: list[list], plan: MilpSolution,
-                  plan_windows: list[list]) -> dict[int, float]:
-    """A start for the real-time `model` from the optimal plan of the window
-    one hour earlier: {variable index: value}.
+def shifted_start(model: LinearProgram, context: RealTimeContext, plan: MilpSolution,
+                  plan_context: RealTimeContext) -> dict[int, float]:
+    """A start for the real-time `model` of `context` from the optimal plan
+    of `plan_context`, the window one hour earlier: {variable index: value}.
 
-    `windows` and `plan_windows` are the two models' `window_profiles`. Each
-    window is paired by its data with the first earlier window whose data one
-    hour later equal its own from its second hour on; the first hour is the
-    live measurement, which no earlier window holds. The start takes the
-    binaries `udg` and `uess` of the earlier window's hour k+1 as hour k, for
-    every k >= 1. The first hour, which all windows share, is left to the
-    solver, as are the continuous values. A window without a pair gets
-    nothing, as a forecast window does once the forecaster re-scales.
+    Each row of `context` is paired by its data with the first earlier row
+    whose data one hour later equal its own from its second hour on; the
+    first hour is the live measurement, which no earlier row holds. The
+    start takes the binaries `udg` and `uess` of the earlier row's hour k+1
+    as hour k, for every k >= 1. The first hour, which all rows share, is
+    left to the solver, as are the continuous values. A row without a pair
+    gets nothing, as a forecast row does once the forecaster re-scales.
     """
     start: dict[int, float] = {}
-    for s, (load, pv, _) in enumerate(windows):
-        paired = next((p for p, (old_load, old_pv, _) in enumerate(plan_windows)
+    plan_rows = list(zip(plan_context.load_kw, plan_context.pv_kw))
+    for s, (load, pv) in enumerate(zip(context.load_kw, context.pv_kw)):
+        paired = next((p for p, (old_load, old_pv) in enumerate(plan_rows)
                        if np.array_equal(load[1:], old_load[2:])
                        and np.array_equal(pv[1:], old_pv[2:])), None)
         if paired is None:

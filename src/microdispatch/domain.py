@@ -172,41 +172,43 @@ class Commitment:
             buying=bool(self.buying[h]),
         )
 
-    def check(self, config: MicrogridConfig, tol: float = VALIDATION_TOL) -> None:
-        """Raise if any committed hour breaks the grid/reserve contract rules."""
+    def check(self, config: MicrogridConfig) -> None:
+        """Raise if any committed hour breaks the grid/reserve contract rules,
+        by more than `VALIDATION_TOL`."""
         for h in range(HOURS_PER_DAY):
             ch = self.hour(h)
-            if min(ch.grid_buy_kw, ch.grid_sell_kw) > tol:
+            if min(ch.grid_buy_kw, ch.grid_sell_kw) > VALIDATION_TOL:
                 raise ValueError(f"hour {h}: buy and sell both nonzero")
             for v, cap in ((ch.grid_buy_kw, config.grid_power_cap),
                            (ch.grid_sell_kw, config.grid_power_cap)):
-                if not (-tol <= v <= cap + tol):
+                if not (-VALIDATION_TOL <= v <= cap + VALIDATION_TOL):
                     raise ValueError(f"hour {h}: grid value {v} outside [0, {cap}]")
-            if ch.reserve_down_kw < -tol or ch.reserve_up_kw < -tol:
+            if min(ch.reserve_down_kw, ch.reserve_up_kw) < -VALIDATION_TOL:
                 raise ValueError(f"hour {h}: negative reserve")
-            if ch.buying and ch.reserve_down_kw > tol:
+            if ch.buying and ch.reserve_down_kw > VALIDATION_TOL:
                 raise ValueError(f"hour {h}: down-reserve scheduled in a buying hour")
-            if not ch.buying and ch.reserve_up_kw > tol:
+            if not ch.buying and ch.reserve_up_kw > VALIDATION_TOL:
                 raise ValueError(f"hour {h}: up-reserve scheduled in a selling hour")
 
 
 @dataclass(frozen=True)
 class MicrogridState:
-    """Coupling state carried between hourly steps."""
+    """Coupling state between hourly steps; the generator is on iff dg_prev_kw > 0."""
 
     hour_of_day: int
     soc_kwh: float
     soc_midnight_kwh: float
     dg_prev_kw: float = 0.0
-    dg_on: bool = False
 
     def __post_init__(self):
         if not (0 <= self.hour_of_day < HOURS_PER_DAY):
             raise ValueError("hour_of_day must be in 0..23")
-        if self.dg_on and self.dg_prev_kw <= 0:
-            raise ValueError("dg_on requires a positive previous DG power")
-        if not self.dg_on and self.dg_prev_kw != 0.0:
-            raise ValueError("dg_prev_kw must be 0 while the generator is off")
+        if not self.dg_prev_kw >= 0:
+            raise ValueError(f"dg_prev_kw must be nonnegative, got {self.dg_prev_kw}")
+
+    @property
+    def dg_on(self) -> bool:
+        return self.dg_prev_kw > 0
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,6 @@ def advance_state(state: MicrogridState, outcome: StepOutcome) -> MicrogridState
         soc_kwh=outcome.soc_kwh,
         soc_midnight_kwh=soc_midnight,
         dg_prev_kw=dg_kw if dg_kw > 0 else 0.0,
-        dg_on=dg_kw > 0,
     )
 
 
@@ -393,22 +394,24 @@ TrajectoryStep = tuple[MicrogridState, DispatchSetpoint, StepOutcome]
 
 
 def validate_trajectory(trajectory: Sequence[TrajectoryStep],
-                        commitments: Commitment | Sequence[Commitment],
+                        commitments: Sequence[Commitment],
                         config: MicrogridConfig) -> list[Violation]:
     """Check every physical and contractual constraint over a realized run.
 
     Returns one Violation per breached constraint-hour; an empty list means
     the whole trajectory is feasible within `VALIDATION_TOL`. Hours must be
-    consecutive. Grid adherence is checked against the commitment active on
-    each day. A stop flag on an idle generator is a `dg-stop-idle` finding.
+    consecutive. Grid adherence is checked against each day's own entry of
+    `commitments`, one per day from the first; a trajectory that spans more
+    days is a TrajectoryError. A stop flag on an idle generator is a
+    `dg-stop-idle` finding.
     """
     if len(trajectory) == 0:
         raise TrajectoryError("empty trajectory")
-    if isinstance(commitments, Commitment):
-        commitments = [commitments]
-
     first_hour = trajectory[0][0].hour_of_day
-    day_index = 0
+    days = (first_hour + len(trajectory) - 1) // HOURS_PER_DAY + 1
+    if days > len(commitments):
+        raise TrajectoryError(f"the trajectory spans {days} days but "
+                              f"{len(commitments)} commitments were given")
     violations: list[Violation] = []
 
     def add(step, hour, constraint, magnitude):
@@ -421,12 +424,9 @@ def validate_trajectory(trajectory: Sequence[TrajectoryStep],
             raise TrajectoryError(
                 f"non-consecutive hours at step {i}: expected {expected_hour}, "
                 f"got {state.hour_of_day}")
-        if i > 0 and state.hour_of_day == 0:
-            day_index += 1
-        commitment = commitments[min(day_index, len(commitments) - 1)]
         h = state.hour_of_day
         led = outcome.ledger
-        ch = commitment.hour(h)
+        ch = commitments[(first_hour + i) // HOURS_PER_DAY].hour(h)
 
         # grid adherence and committed-mode gating
         add(i, h, "grid-adherence", abs(led.grid_buy_kw - ch.grid_buy_kw))

@@ -214,9 +214,18 @@ class TestSimulateCompareValidate:
         # no mpc-perfect report, so no gap to it
         assert next(csv.DictReader(summary))["gap_to_perfect_pct"] == ""
 
-    def test_drl_without_weights_fails(self, small_year, tmp_path):
-        assert run(["simulate", "--data", str(small_year),
-                    "--controller", "drl", "--days", "1"]) == 2
+    def test_drl_without_weights_fails(self, small_year, tmp_path, capsys):
+        # a usage error, found before any input is read: a missing data file
+        # does not hide it
+        for data in (small_year, tmp_path / "missing.csv"):
+            for argv in (["simulate", "--controller", "drl"],
+                         ["compare", "--controllers", "rule-based,drl",
+                          "--out", str(tmp_path / "cmp")]):
+                with pytest.raises(SystemExit) as exc_info:
+                    run([*argv, "--data", str(data), "--days", "1"])
+                assert exc_info.value.code == 1
+                assert "the drl controller needs --weights" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_malformed_weight_file_names_the_missing_key(self, small_year, tmp_path,
                                                          capsys):

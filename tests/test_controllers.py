@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_dispatch import assert_same_standard_form
 
 from microdispatch.controllers import (
     ControllerError,
@@ -9,6 +10,7 @@ from microdispatch.controllers import (
     compare_controllers,
     rule_based_decide,
     run_simulation,
+    scenario_window,
 )
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
 from microdispatch.dispatch import (
@@ -17,9 +19,11 @@ from microdispatch.dispatch import (
     STOCHASTIC,
     RealTimeContext,
     build_realtime,
+    extract_setpoint,
 )
 from microdispatch.domain import (
     CommittedHour,
+    DayProfile,
     MicrogridConfig,
     MicrogridState,
     TariffSchedule,
@@ -28,6 +32,7 @@ from microdispatch.domain import (
 from microdispatch.forecasting import LoadPvForecaster
 from microdispatch.milp import solve_milp
 from microdispatch.scenarios import (
+    ScenarioSet,
     build_dayahead_scenarios,
     build_realtime_scenarios,
     kmeans,
@@ -64,7 +69,11 @@ def perfect_reset(pipeline):
 
 def state_at(hour=0, soc=12500.0, dg_prev=0.0):
     return MicrogridState(hour_of_day=hour, soc_kwh=soc, soc_midnight_kwh=soc,
-                          dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+                          dg_prev_kw=dg_prev)
+
+
+def flat_day(load, pv):
+    return DayProfile(load_kw=np.full(24, float(load)), pv_kw=np.full(24, float(pv)))
 
 
 class TestRuleBased:
@@ -214,69 +223,101 @@ class TestRunSimulation:
             run_simulation(RuleBasedController(), [], TARIFF, CFG, pipeline["scen_d"])
 
 
+def window_setpoint(context, mode):
+    """The model of `context` labelled `mode`, and its optimal setpoint."""
+    model = build_realtime(context, TARIFF, CFG, mode)
+    solution = solve_milp(model)
+    assert solution.ok
+    return model, extract_setpoint(solution, context.state, CFG)
+
+
 class TestModeEquivalences:
-    def test_forecast_with_oracle_forecaster_equals_perfect(self, pipeline):
+    """The modes differ only in the profiles they believe: contexts built
+    from the same beliefs give the same window, whatever the mode."""
+
+    def test_forecast_with_oracle_forecaster_equals_perfect(self, pipeline, perfect_reset):
+        # a forecast that is a copy of the actual day, measured hour included
+        report, _ = perfect_reset
         day = pipeline["test"][0]
+        for record in report.records[:24]:
+            h = record.state.hour_of_day
+            common = dict(state=record.state, start_hour=h, hours=24 - h,
+                          commitment=report.commitments[0])
+            perfect = RealTimeContext(**common, load_kw=day.load_kw[h:], pv_kw=day.pv_kw[h:])
+            oracle = RealTimeContext(**common, load_kw=day.load_kw[h:].copy(),
+                                     pv_kw=day.pv_kw[h:].copy())
+            model_p, sp_p = window_setpoint(perfect, PERFECT)
+            model_f, sp_f = window_setpoint(oracle, FORECAST)
+            assert_same_standard_form(model_f, model_p)
+            assert sp_f == sp_p, h
 
-        class Oracle(MpcController):
-            """Forecast-mode controller whose forecaster is clairvoyant."""
-
-            def __init__(self):
-                super().__init__(PERFECT)
-                self.mode = PERFECT  # build identical models
-                self.kind = "mpc-forecast-oracle"
-
-        p = run_simulation(MpcController(PERFECT), [day], TARIFF, CFG,
-                           pipeline["scen_d"])
-        f = run_simulation(Oracle(), [day], TARIFF, CFG, pipeline["scen_d"])
-        for rp, rf in zip(p.records, f.records):
-            assert rp.setpoint == rf.setpoint
-
-    def test_stochastic_with_identical_scenarios_equals_forecast(self, pipeline):
+    def test_stochastic_with_identical_scenarios_equals_forecast(self, pipeline,
+                                                                 perfect_reset):
+        # five copies of the forecast merge into the forecast window itself
+        report, _ = perfect_reset
         day = pipeline["test"][0]
         forecaster = pipeline["forecaster"]
+        for record in report.records[:24]:
+            h = record.state.hour_of_day
+            load_now, pv_now = float(day.load_kw[h]), float(day.pv_kw[h])
+            forecaster = forecaster.observe(h, load_now, pv_now)
+            load, pv = forecaster.forecast_profile(h, 24 - h)
+            load[0], pv[0] = load_now, pv_now
+            common = dict(state=record.state, start_hour=h, hours=24 - h,
+                          commitment=report.commitments[0])
+            forecast = RealTimeContext(**common, load_kw=load, pv_kw=pv)
+            full_load, full_pv = np.zeros(24), np.zeros(24)
+            full_load[h:], full_pv[h:] = load, pv
+            copies = ScenarioSet(profiles=(DayProfile(load_kw=full_load, pv_kw=full_pv),) * 5,
+                                 probabilities=np.full(5, 0.2))
+            rows_load, rows_pv, probabilities = scenario_window(copies, h, load_now, pv_now)
+            assert probabilities == (1.0,)
+            stochastic = RealTimeContext(**common, load_kw=rows_load, pv_kw=rows_pv,
+                                         probabilities=probabilities)
+            model_f, sp_f = window_setpoint(forecast, FORECAST)
+            model_s, sp_s = window_setpoint(stochastic, STOCHASTIC)
+            assert_same_standard_form(model_s, model_f)
+            assert sp_s == sp_f, h
 
-        f = run_simulation(MpcController(FORECAST, forecaster=forecaster),
-                           [day], TARIFF, CFG, pipeline["scen_d"])
 
-        class CollapsedStochastic(MpcController):
-            """Stochastic mode fed five copies of the forecast each hour."""
+class TestScenarioWindow:
+    def test_identical_heads_merge_into_one_row(self):
+        a, b = flat_day(6000, 1000), flat_day(6000, 2000)
+        scenarios = ScenarioSet(profiles=(a, b, a, a),
+                                probabilities=np.array([0.1, 0.2, 0.3, 0.4]))
+        load, pv, probabilities = scenario_window(scenarios, 5, 6100.0, 900.0)
+        # the merged row stays where its first head was, with the sum in
+        # head order
+        assert probabilities == (0.1 + 0.3 + 0.4, 0.2)
+        assert load.shape == pv.shape == (2, 19)
+        assert (load[:, 0] == 6100.0).all() and (pv[:, 0] == 900.0).all()
+        assert (load[:, 1:] == 6000.0).all()
+        assert (pv[0, 1:] == 1000.0).all() and (pv[1, 1:] == 2000.0).all()
 
-            kind = "mpc-stochastic-collapsed"
+    def test_heads_that_differ_only_in_the_measured_hour_merge(self):
+        a = flat_day(6000, 1000)
+        b = DayProfile(load_kw=np.where(np.arange(24) == 7, 9000.0, 6000.0),
+                       pv_kw=a.pv_kw)
+        scenarios = ScenarioSet(profiles=(a, b), probabilities=np.array([0.5, 0.5]))
+        assert scenario_window(scenarios, 7, 6100.0, 900.0)[2] == (1.0,)
+        assert scenario_window(scenarios, 6, 6100.0, 900.0)[2] == (0.5, 0.5)
 
-            def __init__(self, fc):
-                super().__init__(STOCHASTIC, scenarios=pipeline["scen_r"])
-                self.fc = fc
-
-            def decide(self, state, day, commitment, tariff, config):
-                from microdispatch.dispatch import RealTimeContext, build_realtime, extract_setpoint
-                from microdispatch.milp import solve_milp
-                from microdispatch.scenarios import ScenarioSet
-                from microdispatch.domain import DayProfile
-                h = state.hour_of_day
-                self.fc = self.fc.observe(h, float(day.load_kw[h]), float(day.pv_kw[h]))
-                load_fc, pv_fc = self.fc.forecast_profile(h, 24 - h)
-                full_load = np.zeros(24)
-                full_pv = np.zeros(24)
-                full_load[h:] = load_fc
-                full_pv[h:] = pv_fc
-                profile = DayProfile(load_kw=full_load, pv_kw=full_pv)
-                scen = ScenarioSet(profiles=(profile,) * 5, probabilities=np.full(5, 0.2))
-                ctx = RealTimeContext(
-                    state=state, start_hour=h, hours=24 - h, commitment=commitment,
-                    scenarios=scen, measured_load_kw=float(day.load_kw[h]),
-                    measured_pv_kw=float(day.pv_kw[h]))
-                sol = solve_milp(build_realtime(ctx, tariff, config, STOCHASTIC))
-                return extract_setpoint(sol, state, config)
-
-        s = run_simulation(CollapsedStochastic(forecaster), [day], TARIFF, CFG,
-                           pipeline["scen_d"])
-        for rf, rs in zip(f.records, s.records):
-            assert rs.setpoint.dg_kw == pytest.approx(rf.setpoint.dg_kw, abs=1e-6)
-            assert rs.setpoint.ess_charge_kw == pytest.approx(
-                rf.setpoint.ess_charge_kw, abs=1e-6)
-            assert rs.setpoint.ess_discharge_kw == pytest.approx(
-                rf.setpoint.ess_discharge_kw, abs=1e-6)
+    def test_only_the_last_hour_merges_the_seed0_heads(self):
+        # a one-hour window holds only the measurement, so all five heads
+        # merge there and nowhere else: 6 of the 144 stochastic decisions of
+        # six seed-0 days
+        train, test = split_train_test(generate_dataset(SyntheticParams(seed=0)))
+        scenarios = build_realtime_scenarios(kmeans([d.load_kw for d in train], 5, seed=0),
+                                             kmeans([d.pv_kw for d in train], 5, seed=1))
+        merged = []
+        for d, day in enumerate(test[:6]):
+            for h in range(24):
+                load, pv, probabilities = scenario_window(
+                    scenarios, h, float(day.load_kw[h]), float(day.pv_kw[h]))
+                assert load.shape == pv.shape == (len(probabilities), 24 - h)
+                if len(probabilities) < 5:
+                    merged.append((d, h, probabilities))
+        assert merged == [(d, 23, (1.0,)) for d in range(6)]
 
 
 class TestCompare:

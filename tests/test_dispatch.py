@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from microdispatch.controllers import scenario_window
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
 from microdispatch.dispatch import (
     FORECAST,
@@ -17,7 +18,6 @@ from microdispatch.dispatch import (
     extract_commitment,
     extract_setpoint,
     solve_day_ahead,
-    window_profiles,
 )
 from microdispatch.domain import (
     Commitment,
@@ -51,7 +51,7 @@ def scenario_set(profiles):
 
 def state_at(hour=0, soc=12500.0, dg_prev=0.0):
     return MicrogridState(hour_of_day=hour, soc_kwh=soc, soc_midnight_kwh=soc,
-                          dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+                          dg_prev_kw=dg_prev)
 
 
 def point_feasible(model, x, tol=1e-6):
@@ -77,6 +77,16 @@ def assert_same_standard_form(a, b):
         assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(sa.rows, field), getattr(sb.rows, field)), field
+
+
+def stochastic_context(scenarios, hour, load_kw, pv_kw, soc=12500.0, dg_prev=0.0,
+                       commitment=None):
+    """The stochastic window of `scenarios` at `hour` with the measurement
+    (`load_kw`, `pv_kw`) in slot 0."""
+    load, pv, probabilities = scenario_window(scenarios, hour, load_kw, pv_kw)
+    return RealTimeContext(state=state_at(hour, soc, dg_prev), start_hour=hour,
+                           hours=24 - hour, commitment=commitment or Commitment.zero(),
+                           load_kw=load, pv_kw=pv, probabilities=probabilities)
 
 
 def perfect_context(day, hour=0, soc=12500.0, commitment=None, dg_prev=0.0):
@@ -170,11 +180,7 @@ class TestRealtimeBuilder:
         first_hour = ("dg[0]", "ch[0]", "dis[0]", "uess[0]", "udg[0]", "start[0]",
                       "stop[0]", "soc[0]")
         for hour in (0, 12, 22):
-            ctx = RealTimeContext(
-                state=state_at(hour), start_hour=hour, hours=24 - hour,
-                commitment=Commitment.zero(),
-                scenarios=scenario_set(profiles),
-                measured_load_kw=6100.0, measured_pv_kw=500.0)
+            ctx = stochastic_context(scenario_set(profiles), hour, 6100.0, 500.0)
             model = build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
             later = 23 - hour
             assert [n for n in model.names if n in first_hour] == list(first_hour)
@@ -260,12 +266,10 @@ class TestRealtimeBuilder:
             for dg_prev in (0.0, 6000.0):
                 ctx_f = perfect_context(day, hour=hour, soc=soc, dg_prev=dg_prev)
                 model_f = build_realtime(ctx_f, TARIFF, CFG, FORECAST)
-                ctx_s = RealTimeContext(
-                    state=state_at(hour, soc, dg_prev), start_hour=hour, hours=24 - hour,
-                    commitment=Commitment.zero(),
-                    scenarios=scenario_set([day] * 5),
-                    measured_load_kw=float(day.load_kw[hour]),
-                    measured_pv_kw=float(day.pv_kw[hour]))
+                ctx_s = stochastic_context(scenario_set([day] * 5), hour,
+                                           float(day.load_kw[hour]), float(day.pv_kw[hour]),
+                                           soc, dg_prev)
+                assert ctx_s.probabilities == (1.0,)
                 model_s = build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC)
                 assert_same_standard_form(model_s, model_f)
                 sp_f = extract_setpoint(solve_milp(model_f), ctx_f.state, CFG)
@@ -307,7 +311,7 @@ class TestRealtimeBuilder:
             for cast in (int, float):
                 state = MicrogridState(hour_of_day=20, soc_kwh=cast(soc),
                                        soc_midnight_kwh=cast(soc),
-                                       dg_prev_kw=cast(dg_prev), dg_on=dg_prev > 0)
+                                       dg_prev_kw=cast(dg_prev))
                 ctx = RealTimeContext(state=state, start_hour=20, hours=4,
                                       commitment=Commitment.zero(),
                                       load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
@@ -320,16 +324,41 @@ class TestRealtimeBuilder:
                             commitment=Commitment.zero(),
                             load_kw=np.zeros(0), pv_kw=np.zeros(0))
 
-    def test_missing_measurement_rejected(self):
-        # no measurement, or a load without its PV
-        for measured in ({}, {"measured_load_kw": 6000.0}):
-            ctx = RealTimeContext(
-                state=state_at(0), start_hour=0, hours=24,
-                commitment=Commitment.zero(),
-                scenarios=scenario_set([flat_day(6000, 1000)] * 5),
-                **measured)
-            with pytest.raises(ModelBuildError):
-                build_realtime(ctx, TARIFF, CFG, STOCHASTIC)
+    def test_rows_must_share_the_measurement(self):
+        # the first hour is written once, so every row must hold the same
+        # live values in slot 0: a load or a PV that differs is refused
+        load = np.full((2, 24), 6000.0)
+        pv = np.full((2, 24), 1000.0)
+        common = dict(state=state_at(0), start_hour=0, hours=24,
+                      commitment=Commitment.zero(), probabilities=(0.5, 0.5))
+        RealTimeContext(**common, load_kw=load, pv_kw=pv)
+        for which in ("load_kw", "pv_kw"):
+            rows = {"load_kw": load.copy(), "pv_kw": pv.copy()}
+            rows[which][1, 0] += 1.0
+            with pytest.raises(ModelBuildError, match="live measurement"):
+                RealTimeContext(**common, **rows)
+        # later hours may differ
+        load[1, 5] = 7000.0
+        RealTimeContext(**common, load_kw=load, pv_kw=pv)
+
+    def test_one_probability_per_row(self):
+        common = dict(state=state_at(20), start_hour=20, hours=4,
+                      commitment=Commitment.zero())
+        rows = np.full((3, 4), 5000.0)
+        for probabilities in ((0.5, 0.5), (0.25,) * 4):
+            with pytest.raises(ModelBuildError, match="one probability per profile row"):
+                RealTimeContext(**common, load_kw=rows, pv_kw=rows,
+                                probabilities=probabilities)
+        # a 1-D profile is one row, with the default probability 1
+        ctx = RealTimeContext(**common, load_kw=rows[0], pv_kw=rows[0])
+        assert ctx.load_kw.shape == (1, 4) and ctx.probabilities == (1.0,)
+        with pytest.raises(ModelBuildError, match="one probability per profile row"):
+            RealTimeContext(**common, load_kw=rows[0], pv_kw=rows[0],
+                            probabilities=(0.5, 0.5))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ModelBuildError, match="unknown mode"):
+            build_realtime(perfect_context(flat_day(6000, 1000)), TARIFF, CFG, "oracle")
 
     def test_setpoint_dg_within_capacity_window(self):
         # heavy flat load from an empty battery: a cold DG cannot cover hour
@@ -378,7 +407,7 @@ class TestStartStopFlags:
         day = flat_day(3000, 0)
         state = MicrogridState(hour_of_day=20, soc_kwh=CFG.ess_energy_min,
                                soc_midnight_kwh=CFG.ess_energy_min,
-                               dg_prev_kw=8000.0, dg_on=True)
+                               dg_prev_kw=8000.0)
         commitment = Commitment.zero()
         ctx = RealTimeContext(state=state, start_hour=20, hours=4, commitment=commitment,
                               load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
@@ -419,9 +448,8 @@ def realtime_context(inputs, mode, hour, soc=12500.0, dg_prev=0.0):
         load[0], pv[0] = day.load_kw[hour], day.pv_kw[hour]
         ctx = RealTimeContext(**common, load_kw=load, pv_kw=pv)
     else:
-        ctx = RealTimeContext(**common, scenarios=inputs["realtime"],
-                              measured_load_kw=float(day.load_kw[hour]),
-                              measured_pv_kw=float(day.pv_kw[hour]))
+        ctx = stochastic_context(inputs["realtime"], hour, float(day.load_kw[hour]),
+                                 float(day.pv_kw[hour]), soc, dg_prev, inputs["commitment"])
     return ctx
 
 
@@ -450,11 +478,9 @@ class TestStochasticFirstHour:
                     + CFG.dg_unit_cost * dg + CFG.ess_unit_cost * (ch + dis))
         soc_next = soc - CFG.eta_discharge * dis + CFG.eta_charge * ch
         state = MicrogridState(hour_of_day=hour + 1, soc_kwh=soc_next,
-                               soc_midnight_kwh=soc_next, dg_prev_kw=dg if on else 0.0,
-                               dg_on=on)
-        windows = window_profiles(ctx, STOCHASTIC)
-        assert len(windows) > 1
-        for load, pv, prob in windows:
+                               soc_midnight_kwh=soc_next, dg_prev_kw=dg if on else 0.0)
+        assert len(ctx.probabilities) > 1
+        for load, pv, prob in zip(ctx.load_kw, ctx.pv_kw, ctx.probabilities):
             recourse = RealTimeContext(state=state, start_hour=hour + 1, hours=23 - hour,
                                        commitment=commitment, load_kw=load[1:], pv_kw=pv[1:])
             tail = solve_milp(build_realtime(recourse, TARIFF, CFG, PERFECT))

@@ -23,7 +23,7 @@ TARIFF = TariffSchedule()
 
 def make_state(hour=0, soc=10000.0, dg_prev=0.0):
     return MicrogridState(hour_of_day=hour, soc_kwh=soc, soc_midnight_kwh=soc,
-                          dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+                          dg_prev_kw=dg_prev)
 
 
 def ledger(**powers):
@@ -91,9 +91,14 @@ class TestTypes:
             DispatchSetpoint(ess_charge_kw=10.0, ess_discharge_kw=10.0)
 
     def test_state_dg_consistency(self):
-        with pytest.raises(ValueError):
-            MicrogridState(hour_of_day=0, soc_kwh=5000, soc_midnight_kwh=5000,
-                           dg_prev_kw=500.0, dg_on=False)
+        # the generator status is read from the previous power, which must
+        # not be negative
+        for dg_prev in (-500.0, float("nan")):
+            with pytest.raises(ValueError, match="dg_prev_kw must be nonnegative"):
+                MicrogridState(hour_of_day=0, soc_kwh=5000, soc_midnight_kwh=5000,
+                               dg_prev_kw=dg_prev)
+        assert not make_state(dg_prev=0.0).dg_on
+        assert make_state(dg_prev=500.0).dg_on
 
 
 class TestStepPlant:
@@ -209,14 +214,14 @@ class TestValidateTrajectory:
         commitment = Commitment.zero()
         steps = run_steps(make_state(), [DispatchSetpoint()] * 24, commitment,
                           loads=[1000.0] * 24, pvs=[1500.0] * 24)
-        assert validate_trajectory(steps, commitment, CFG) == []
+        assert validate_trajectory(steps, [commitment], CFG) == []
 
     def test_blackout_hour_reports_balance_violation(self):
         commitment = Commitment.zero()
         state = make_state(soc=CFG.ess_energy_min)
         steps = run_steps(state, [DispatchSetpoint()], commitment,
                           loads=[4000.0], pvs=[0.0])
-        tags = {v.constraint for v in validate_trajectory(steps, commitment, CFG)}
+        tags = {v.constraint for v in validate_trajectory(steps, [commitment], CFG)}
         assert "power-balance" in tags
 
     def test_hand_built_ramp_violation(self):
@@ -229,19 +234,19 @@ class TestValidateTrajectory:
         forged = step_plant(state, forged_sp, commitment.hour(0), 7000.0, 0.0,
                             TARIFF.price(0), CFG)
         object.__setattr__(forged.ledger, "dg_kw", 7000.0)
-        violations = validate_trajectory([(state, forged_sp, forged)], commitment, CFG)
+        violations = validate_trajectory([(state, forged_sp, forged)], [commitment], CFG)
         assert [v.constraint for v in violations] == ["dg-ramp-up"]
         assert violations[0].magnitude == pytest.approx(2000.0)
         # sanity: the unforged step is clean
         assert validate_trajectory([(state, DispatchSetpoint(dg_kw=2000.0), good)],
-                                   commitment, CFG) == []
+                                   [commitment], CFG) == []
 
     def test_stop_flag_on_an_idle_generator_is_a_finding(self):
         commitment = Commitment.zero()
         idle_stop = DispatchSetpoint(dg_stop=True)
         steps = run_steps(make_state(), [DispatchSetpoint(), idle_stop], commitment,
                           loads=[1000.0] * 2, pvs=[1500.0] * 2)
-        violations = validate_trajectory(steps, commitment, CFG)
+        violations = validate_trajectory(steps, [commitment], CFG)
         assert [(v.step, v.constraint) for v in violations] == [(1, "dg-stop-idle")]
 
     def test_stop_flag_on_a_running_generator_is_clean(self):
@@ -250,16 +255,37 @@ class TestValidateTrajectory:
                           [DispatchSetpoint(dg_kw=3000.0, dg_stop=True)], commitment,
                           loads=[3000.0], pvs=[0.0])
         assert steps[0][2].dg_stop
-        assert validate_trajectory(steps, commitment, CFG) == []
+        assert validate_trajectory(steps, [commitment], CFG) == []
 
     def test_non_consecutive_hours_rejected(self):
         commitment = Commitment.zero()
         steps = run_steps(make_state(), [DispatchSetpoint()] * 2, commitment,
                           loads=[0.0, 0.0], pvs=[0.0, 0.0])
         with pytest.raises(TrajectoryError):
-            validate_trajectory([steps[0], steps[0]], commitment, CFG)
+            validate_trajectory([steps[0], steps[0]], [commitment], CFG)
         with pytest.raises(TrajectoryError):
-            validate_trajectory([], commitment, CFG)
+            validate_trajectory([], [commitment], CFG)
+
+    def test_one_commitment_per_day(self):
+        # two days need two commitments: the second day is checked against
+        # its own, and a missing one is an error rather than a reuse of the
+        # first
+        zero = Commitment.zero()
+        buying = Commitment(
+            grid_buy_kw=np.full(24, 100.0), grid_sell_kw=np.zeros(24),
+            reserve_down_kw=np.zeros(24), reserve_up_kw=np.zeros(24),
+            buying=np.ones(24, dtype=bool))
+        day0 = run_steps(make_state(hour=22), [DispatchSetpoint()] * 2, zero,
+                         loads=[1000.0] * 2, pvs=[1500.0] * 2)
+        state, _, outcome = day0[-1]
+        day1 = run_steps(advance_state(state, outcome), [DispatchSetpoint()] * 2, buying,
+                         loads=[1000.0] * 2, pvs=[1500.0] * 2)
+        assert validate_trajectory(day0 + day1, [zero, buying], CFG) == []
+        assert validate_trajectory(day0 + day1, [zero, buying, zero], CFG) == []
+        with pytest.raises(TrajectoryError, match="spans 2 days but 1 commitments"):
+            validate_trajectory(day0 + day1, [zero], CFG)
+        with pytest.raises(TrajectoryError, match="spans 1 days but 0 commitments"):
+            validate_trajectory(day0, [], CFG)
 
     def test_grid_adherence_checked_against_commitment(self):
         commitment = Commitment.zero()
@@ -269,7 +295,7 @@ class TestValidateTrajectory:
             buying=np.ones(24, dtype=bool))
         steps = run_steps(make_state(), [DispatchSetpoint()], followed,
                           loads=[100.0], pvs=[0.0])
-        tags = {v.constraint for v in validate_trajectory(steps, commitment, CFG)}
+        tags = {v.constraint for v in validate_trajectory(steps, [commitment], CFG)}
         assert "grid-adherence" in tags
 
 
@@ -309,5 +335,5 @@ class TestPlantProperties:
         physical = {"dg-ramp-up", "dg-ramp-down", "dg-capacity", "dg-min-power",
                     "ess-power-cap", "ess-exclusive", "soc-bounds", "soc-recursion",
                     "reserve-headroom", "grid-adherence"}
-        violations = validate_trajectory(steps, commitment, CFG)
+        violations = validate_trajectory(steps, [commitment] * 21, CFG)  # 500 h
         assert not [v for v in violations if v.constraint in physical]

@@ -38,7 +38,7 @@ CFG = MicrogridConfig()
 def make_state(hour=0, soc=12500.0, soc0=None, dg_prev=0.0):
     return MicrogridState(hour_of_day=hour, soc_kwh=soc,
                           soc_midnight_kwh=soc if soc0 is None else soc0,
-                          dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+                          dg_prev_kw=dg_prev)
 
 
 class TestEncodeState:

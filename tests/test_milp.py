@@ -50,7 +50,7 @@ def late_realtime_windows():
     for hour in (22, 23):
         for soc, dg_prev in ((9000.0, 0.0), (20000.0, 6000.0)):
             state = MicrogridState(hour_of_day=hour, soc_kwh=soc, soc_midnight_kwh=soc,
-                                   dg_prev_kw=dg_prev, dg_on=dg_prev > 0)
+                                   dg_prev_kw=dg_prev)
             for commitment in (Commitment.zero(), buying, selling):
                 context = RealTimeContext(state=state, start_hour=hour, hours=24 - hour,
                                           commitment=commitment, load_kw=day.load_kw[hour:],
