@@ -60,6 +60,7 @@ from microdispatch.domain import (
     validate_trajectory,
 )
 from microdispatch.drl import (
+    STATE_DIMENSION,
     DqnConfig,
     DrlController,
     MlpNetwork,
@@ -176,7 +177,14 @@ def _build_controller(kind, train, config, args):
         return MpcController(STOCHASTIC,
                              scenarios=build_realtime_scenarios(load_heads, pv_heads))
     # the last of CONTROLLER_KINDS: the DQN, whose --weights `main` checked
-    return DrlController(MlpNetwork.load(args.weights))
+    network = MlpNetwork.load(args.weights)
+    sizes = network.layer_sizes
+    if (sizes[0], sizes[-1]) != (STATE_DIMENSION, config.drl_action_count):
+        raise DataFormatError(
+            f"{args.weights}: the network maps {sizes[0]} inputs to {sizes[-1]} "
+            f"actions; the controller needs {STATE_DIMENSION} to "
+            f"{config.drl_action_count}")
+    return DrlController(network)
 
 
 def cmd_generate(args) -> int:

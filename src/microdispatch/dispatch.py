@@ -323,34 +323,29 @@ def shifted_start(model: LinearProgram, context: RealTimeContext, plan: MilpSolu
     return start
 
 
-def extract_commitment(solution: MilpSolution, config: MicrogridConfig) -> Commitment:
-    """Read the committed schedule out of an optimal day-ahead solution."""
+def extract_commitment(solution: MilpSolution) -> Commitment:
+    """Read the committed schedule out of an optimal day-ahead solution.
+
+    Each hour's mode `ug` zeroes the two schedules it forbids: selling and
+    down-reserve in a buying hour, buying and up-reserve in a selling one.
+    The masks keep the contract exact whatever dust the solver leaves on a
+    forbidden schedule, so every commitment this returns is valid by
+    construction. The grid cap needs no clamp: `solve_milp` clips every
+    optimal value into its variable's bounds, `[0, grid_power_cap]` here.
+    """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"cannot extract from a {solution.status.value} solution")
-    T = HOURS_PER_DAY
-    gb = np.zeros(T)
-    gs = np.zeros(T)
-    rd = np.zeros(T)
-    rc = np.zeros(T)
-    buying = np.zeros(T, dtype=bool)
-    for t in range(T):
-        buying[t] = solution.value(f"ug[{t}]") > 0.5
-        gb[t] = _round_clip(solution.value(f"gb[{t}]"))
-        gs[t] = _round_clip(solution.value(f"gs[{t}]"))
-        rd[t] = _round_clip(solution.value(f"rd[{t}]"))
-        rc[t] = _round_clip(solution.value(f"rc[{t}]"))
-        if buying[t]:
-            gs[t] = 0.0
-            rd[t] = 0.0
-        else:
-            gb[t] = 0.0
-            rc[t] = 0.0
-        gb[t] = min(gb[t], config.grid_power_cap)
-        gs[t] = min(gs[t], config.grid_power_cap)
-    commitment = Commitment(grid_buy_kw=gb, grid_sell_kw=gs, reserve_down_kw=rd,
-                            reserve_up_kw=rc, buying=buying)
-    commitment.check(config)
-    return commitment
+
+    def hourly(key: str) -> np.ndarray:
+        return np.array([_round_clip(solution.value(f"{key}[{t}]"))
+                         for t in range(HOURS_PER_DAY)])
+
+    buying = hourly("ug") > 0.5
+    return Commitment(grid_buy_kw=np.where(buying, hourly("gb"), 0.0),
+                      grid_sell_kw=np.where(buying, 0.0, hourly("gs")),
+                      reserve_down_kw=np.where(buying, 0.0, hourly("rd")),
+                      reserve_up_kw=np.where(buying, hourly("rc"), 0.0),
+                      buying=buying)
 
 
 def extract_setpoint(solution: MilpSolution, state: MicrogridState,
@@ -388,7 +383,7 @@ def solve_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
     solution = solve_milp(model)
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"day-ahead solve ended {solution.status.value}")
-    return extract_commitment(solution, config), solution
+    return extract_commitment(solution), solution
 
 
 def _round_clip(value: float) -> float:

@@ -9,6 +9,7 @@ evaluated concurrently without shared state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -50,8 +51,14 @@ class MicrogridConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{f.name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+        if not isinstance(self.drl_action_count, numbers.Integral):
+            raise TypeError(f"drl_action_count must be an integer, "
+                            f"got {self.drl_action_count!r}")
         if not (0.0 < self.eta_charge <= 1.0):
             raise ValueError(f"eta_charge must be in (0, 1], got {self.eta_charge}")
         if self.eta_discharge < 1.0:
@@ -136,7 +143,12 @@ class CommittedHour:
 
 @dataclass(frozen=True)
 class Commitment:
-    """Day-ahead schedules fixed by stage one and binding in real time."""
+    """Day-ahead schedules fixed by stage one and binding in real time.
+
+    Valid by construction, with no check of its own: one exchange direction
+    and only the mode's reserve per hour, because `extract_commitment` masks
+    each schedule by the hour's mode; every value in `[0, cap]`, because the
+    solver's values are clipped into the model's bounds."""
 
     grid_buy_kw: np.ndarray
     grid_sell_kw: np.ndarray
@@ -171,24 +183,6 @@ class Commitment:
             reserve_up_kw=float(self.reserve_up_kw[h]),
             buying=bool(self.buying[h]),
         )
-
-    def check(self, config: MicrogridConfig) -> None:
-        """Raise if any committed hour breaks the grid/reserve contract rules,
-        by more than `VALIDATION_TOL`."""
-        for h in range(HOURS_PER_DAY):
-            ch = self.hour(h)
-            if min(ch.grid_buy_kw, ch.grid_sell_kw) > VALIDATION_TOL:
-                raise ValueError(f"hour {h}: buy and sell both nonzero")
-            for v, cap in ((ch.grid_buy_kw, config.grid_power_cap),
-                           (ch.grid_sell_kw, config.grid_power_cap)):
-                if not (-VALIDATION_TOL <= v <= cap + VALIDATION_TOL):
-                    raise ValueError(f"hour {h}: grid value {v} outside [0, {cap}]")
-            if min(ch.reserve_down_kw, ch.reserve_up_kw) < -VALIDATION_TOL:
-                raise ValueError(f"hour {h}: negative reserve")
-            if ch.buying and ch.reserve_down_kw > VALIDATION_TOL:
-                raise ValueError(f"hour {h}: down-reserve scheduled in a buying hour")
-            if not ch.buying and ch.reserve_up_kw > VALIDATION_TOL:
-                raise ValueError(f"hour {h}: up-reserve scheduled in a selling hour")
 
 
 @dataclass(frozen=True)

@@ -62,16 +62,15 @@ check_highs_bindings(highs_core._Highs)
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
 
 
 #: HiGHS model statuses as `SolveStatus`; every other status (node limit,
-#: "unbounded or infeasible", solver errors) reads as ITERATION_LIMIT
+#: solver errors) reads as ITERATION_LIMIT. No model is unbounded:
+#: `LinearProgram.add_var` refuses infinite bounds.
 _STATUS = {highs_core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
            highs_core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-           highs_core.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
-           highs_core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED}
+           highs_core.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE}
 
 
 class SolverError(RuntimeError):

@@ -4,11 +4,13 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from microdispatch import cli, controllers
 from microdispatch.cli import main
 from microdispatch.domain import DispatchSetpoint, TariffSchedule
+from microdispatch.drl import MlpNetwork
 
 
 def run(argv):
@@ -94,6 +96,19 @@ def test_an_infeasible_day_ahead_is_one_error_line(small_year, infeasible_config
     out = tmp_path / "out"
     assert run(argv.format(data=small_year, config=infeasible_config, out=out).split()) == 2
     assert capsys.readouterr().err == "error: day-ahead solve ended infeasible\n"
+
+
+def test_a_float_action_count_is_one_error_line(small_year, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "microgrid": {"drl_action_count": 40.0},
+        "tariff": {"hourly_price": list(TariffSchedule().hourly_price)}}))
+    assert run(["train-drl", "--data", str(small_year), "--config", str(config),
+                "--episodes", "1", "--out", str(tmp_path / "w.json"),
+                "--curve", str(tmp_path / "curve.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: drl_action_count must be an integer, got 40.0\n")
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_a_non_finite_config_value_is_one_error_line(small_year, tmp_path, capsys):
@@ -253,6 +268,23 @@ class TestSimulateCompareValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {weights}: ")
         assert says in err
+
+    @pytest.mark.parametrize("sizes, inputs, outputs", [
+        ([6, 16, 10], 6, 10),   # reaches only the lowest 10 of the 40 power levels
+        ([6, 16, 60], 6, 60),   # an argmax past 39 aborts the run midway
+        ([5, 16, 40], 5, 40),   # refuses the 6-entry observation
+    ], ids=["10-outputs", "60-outputs", "5-inputs"])
+    def test_weight_file_of_the_wrong_sizes_is_an_error_line(
+            self, small_year, tmp_path, capsys, sizes, inputs, outputs):
+        weights = tmp_path / "w.json"
+        MlpNetwork.initialize(sizes, np.random.default_rng(0)).save(weights)
+        out = tmp_path / "cmp"
+        assert run(["compare", "--data", str(small_year), "--controllers", "drl",
+                    "--weights", str(weights), "--days", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {weights}: the network maps {inputs} inputs to {outputs} "
+            f"actions; the controller needs 6 to 40\n")
+        assert not out.exists()
 
     def test_bad_planning_soc_is_usage_error(self, small_year, capsys):
         with pytest.raises(SystemExit) as exc_info:

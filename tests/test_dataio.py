@@ -190,6 +190,21 @@ class TestConfigJson:
             load_config(path)
         assert str(exc_info.value) == f"{path}: {expected}"
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("dg_power_max", "11000", "dg_power_max must be a real number, got '11000'"),
+        ("dg_unit_cost", True, "dg_unit_cost must be a real number, got True"),
+        ("drl_action_count", 40.0, "drl_action_count must be an integer, got 40.0"),
+    ], ids=["string", "bool", "float-action-count"])
+    def test_value_of_the_wrong_type_names_the_file_and_field(self, tmp_path, field,
+                                                              value, expected):
+        path = tmp_path / "config.json"
+        payload = config_payload()
+        payload["microgrid"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == f"{path}: {expected}"
+
 
 class TestCommitmentJson:
     def test_round_trip_exact(self, tmp_path):

@@ -97,6 +97,21 @@ def perfect_context(day, hour=0, soc=12500.0, commitment=None, dg_prev=0.0):
         load_kw=day.load_kw[h:], pv_kw=day.pv_kw[h:])
 
 
+def assert_valid_commitment(commitment, config):
+    """Each hour's mode forbids two schedules, which are exactly zero; every
+    value lies in [0, cap]."""
+    buying = commitment.buying
+    assert (commitment.grid_sell_kw[buying] == 0.0).all()
+    assert (commitment.reserve_down_kw[buying] == 0.0).all()
+    assert (commitment.grid_buy_kw[~buying] == 0.0).all()
+    assert (commitment.reserve_up_kw[~buying] == 0.0).all()
+    for values, cap in ((commitment.grid_buy_kw, config.grid_power_cap),
+                        (commitment.grid_sell_kw, config.grid_power_cap),
+                        (commitment.reserve_down_kw, config.ess_power_cap),
+                        (commitment.reserve_up_kw, config.ess_power_cap)):
+        assert ((0.0 <= values) & (values <= cap)).all()
+
+
 class TestDayAheadBuilder:
     def test_variable_count_audit(self):
         scenarios = scenario_set([flat_day(6000, 2000)] * 3)
@@ -117,8 +132,7 @@ class TestDayAheadBuilder:
         solution = solve_milp(model)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective <= 1e-9
-        commitment = extract_commitment(solution, cfg)
-        commitment.check(cfg)
+        assert_valid_commitment(extract_commitment(solution), cfg)
 
     def test_surplus_microgrid_sells_and_reserves(self):
         # pv exceeds load by exactly the grid cap: sell flat out, and the
@@ -145,7 +159,7 @@ class TestDayAheadBuilder:
         if bad.status is SolveStatus.OPTIMAL:
             pytest.skip("model solved at the root; cannot produce a non-optimal status")
         with pytest.raises(ExtractionError):
-            extract_commitment(bad, CFG)
+            extract_commitment(bad)
 
     def test_scenario_length_checked(self):
         # the builder plans 24 hours; a scenario is a DayProfile, which
@@ -163,7 +177,27 @@ class TestDayAheadBuilder:
         commitment, _ = solve_day_ahead(scenarios, TARIFF, 12500.0, CFG)
         product = commitment.grid_buy_kw * commitment.grid_sell_kw
         assert np.allclose(product, 0.0)
-        commitment.check(CFG)
+        assert_valid_commitment(commitment, CFG)
+
+    def test_mode_masks_solver_dust(self):
+        # a selling hour's buy value of 3e-3 kW survives rounding, and the
+        # solver's residual check lets it through: the row gb - cap * ug <= 0,
+        # scaled by the cap of 5000 kW, admits about 5e-3 kW. The mask still
+        # zeroes it.
+        names = [f"{key}[{t}]" for key in ("gb", "gs", "rd", "rc", "ug")
+                 for t in range(24)]
+        x = np.zeros(len(names))
+        x[names.index("ug[0]"):] = 1.0  # buying at every hour ...
+        x[names.index("ug[5]")] = 0.0   # ... but hour 5
+        x[names.index("gb[5]")] = 3e-3
+        x[names.index("gs[5]")] = 1200.0
+        solution = MilpSolution(status=SolveStatus.OPTIMAL, objective=0.0, values=x,
+                                columns={name: i for i, name in enumerate(names)})
+        commitment = extract_commitment(solution)
+        assert commitment.grid_buy_kw[5] == 0.0
+        assert commitment.grid_sell_kw[5] == 1200.0
+        assert list(np.flatnonzero(~commitment.buying)) == [5]
+        assert_valid_commitment(commitment, CFG)
 
 
 class TestRealtimeBuilder:
