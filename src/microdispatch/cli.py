@@ -305,12 +305,13 @@ def cmd_compare(args) -> int:
     else:
         print(f"reset mode: SOC {args.reset_soc:g} kWh, generator off at each midnight")
     print(f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} {'s/decision':>11s} "
-          f"{'blackout h':>10s} {'gap %':>8s}")
+          f"{'p95 s':>8s} {'max s':>8s} {'blackout h':>10s} {'gap %':>8s}")
     for kind, report in reports.items():
         gap = "" if gaps[kind] is None else f"{gaps[kind]:.2f}"
         print(f"{kind:16s} {report.average_hourly_cost:10.2f} "
               f"{report.average_hourly_dg_cost:11.2f} "
               f"{report.mean_decision_seconds:11.4f} "
+              f"{report.p95_decision_seconds:8.4f} {report.max_decision_seconds:8.4f} "
               f"{report.blackout_count:10d} {gap:>8s}")
     return status
 

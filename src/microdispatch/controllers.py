@@ -5,9 +5,14 @@ setpoint; what slice of the day a controller may read encodes its
 information set (the clairvoyant MPC sees the whole remaining day, everyone
 else only the current hour). `MpcController.decide` is the one place that
 turns an MPC mode into the profiles the window believes; the model builders
-in `dispatch` read only those. `run_simulation` drives the two-stage protocol:
-a commitment fixed at each midnight, then one controller decision and one
-plant step per hour, with coupling state carried across days.
+in `dispatch` read only those. An MPC controller holds two plans between
+calls, its last window's and, outside perfect mode, its last midnight
+window's: they give later windows a warm start, and in perfect mode the held
+day plan is replayed hour by hour, without a solve, while the plant follows
+it (a guard on the realized state sends any other hour to a solve).
+`run_simulation` drives the two-stage protocol: a commitment fixed at each
+midnight, then one controller decision and one plant step per hour, with
+coupling state carried across days.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +32,13 @@ from microdispatch.dispatch import (
     RealTimeContext,
     build_realtime,
     extract_setpoint,
+    plan_value,
     shifted_start,
     solve_day_ahead,
 )
 from microdispatch.domain import (
     HOURS_PER_DAY,
+    VALIDATION_TOL,
     Commitment,
     CommittedHour,
     DayProfile,
@@ -44,7 +52,7 @@ from microdispatch.domain import (
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
-from microdispatch.milp import SolveStatus, solve_milp
+from microdispatch.milp import MilpSolution, SolveStatus, solve_milp
 from microdispatch.scenarios import ScenarioSet
 
 RULE_BASED = "rule-based"
@@ -143,6 +151,15 @@ def scenario_window(scenarios: ScenarioSet, hour: int, load_kw: float,
     return np.array(loads), np.array(pvs), probabilities
 
 
+class _HeldPlan(NamedTuple):
+    """An optimal window plan with the context and inputs it was solved for."""
+
+    solution: MilpSolution
+    context: RealTimeContext
+    tariff: TariffSchedule
+    config: MicrogridConfig
+
+
 class MpcController:
     """Rolling-horizon MPC in perfect, forecast, or stochastic mode.
 
@@ -154,14 +171,39 @@ class MpcController:
     with an elastic balance whose first-hour slack will surface as a plant
     blackout.
 
-    The controller holds its last optimal, non-elastic window's plan and
-    context. Windows whose data repeat the plan's one hour later, which only
-    the previous hour's window can, start from its binaries
-    (`shifted_start`); every hour 0 solves cold. The start changes which of
-    several optimal points HiGHS may return, never the optimal window
-    objective. The plan is held here rather than passed through `decide`,
-    because callers, the benchmark's timing wrapper among them, call
-    `decide` with the five arguments every controller takes.
+    The controller holds two plans, each with the context and the inputs it
+    was solved for: its last optimal, non-elastic window's plan, and, outside
+    perfect mode, its last optimal, non-elastic midnight plan.
+
+    - Replay. Under perfect information the tail of an optimal day plan is
+      optimal for every later hour, as long as the plant realizes the plan.
+      So in perfect mode an hour is read off the held plan (`extract_setpoint`
+      at the plan's hour), with no model built or solved, when the plan is of
+      the same day and inputs and the plant has followed it: the same
+      commitment, tariff and config objects, the day's remaining load and PV
+      equal to the plan's row at the same clock hours, and the state's
+      `soc_kwh` and `dg_prev_kw` each within `VALIDATION_TOL` of the plan's
+      previous hour (the generator's on flag follows from its power). Any
+      mismatch is a guard hit: the hour solves its window, and that solution
+      becomes the plan. A reset-mode perfect run so solves one window a day.
+    - Starts. A window whose data repeat a held plan's at the same clock
+      hours starts from its binaries (`shifted_start`). Every hour but
+      midnight starts from the last window's plan. A midnight window, which
+      no plan of its own day precedes, starts from the held midnight plan
+      when the two share their commitment and boundary state, as every
+      reset-mode midnight does; then only the measured hour and the
+      scenario merges tell them apart. Stochastic scenario rows repeat every
+      day, so they pair; forecast rows move with the forecaster, so they do
+      not. A carried-over midnight gets no start: on a 40-day carry-over run
+      an earlier midnight's plan cut the simplex iterations of 2 of 18
+      stochastic midnight windows, raised them on 2 and left 14 unchanged. A
+      start changes which of several optimal points HiGHS may return, never
+      the optimal window objective.
+
+    The plans are held here rather than passed through `decide`, because
+    callers, the benchmark's timing wrapper among them, call `decide` with
+    the five arguments every controller takes. They, and the forecaster, are
+    what an explicit carry threaded through `decide` would take over.
     """
 
     def __init__(self, mode: str, forecaster: LoadPvForecaster | None = None,
@@ -177,11 +219,16 @@ class MpcController:
             raise ControllerError("forecast mode needs a warmed-up forecaster")
         if mode == STOCHASTIC and scenarios is None:
             raise ControllerError("stochastic mode needs a real-time scenario set")
-        self._plan: tuple | None = None
+        self._plan: _HeldPlan | None = None
+        self._midnight_plan: _HeldPlan | None = None
 
     def decide(self, state, day: DayProfile, commitment: Commitment,
                tariff: TariffSchedule, config: MicrogridConfig) -> DispatchSetpoint:
         h = state.hour_of_day
+        if self.mode == PERFECT:
+            setpoint = self._replay(state, day, commitment, tariff, config)
+            if setpoint is not None:
+                return setpoint
         hours = HOURS_PER_DAY - h
         load_now = float(day.load_kw[h])
         pv_now = float(day.pv_kw[h])
@@ -199,13 +246,20 @@ class MpcController:
                                   probabilities=probabilities)
 
         model = build_realtime(context, tariff, config, self.mode)
+        held = self._plan
+        if h == 0:
+            held = self._midnight_plan
+            if held is not None and (held.context.state != state
+                                     or held.context.commitment is not commitment):
+                held = None
         start = None
-        if self._plan is not None:
-            plan, plan_context = self._plan
-            start = shifted_start(model, context, plan, plan_context) or None
+        if held is not None:
+            start = shifted_start(model, context, held.solution, held.context) or None
         solution = solve_milp(model, start=start)
         if solution.status is SolveStatus.OPTIMAL:
-            self._plan = (solution, context)
+            self._plan = _HeldPlan(solution, context, tariff, config)
+            if h == 0 and self.mode != PERFECT:
+                self._midnight_plan = self._plan
         else:
             self._plan = None
             solution = solve_milp(build_realtime(context, tariff, config, self.mode,
@@ -214,7 +268,26 @@ class MpcController:
             raise ControllerError(
                 f"{self.kind}: window solve failed even with elastic balance "
                 f"({solution.status.value})")
-        return extract_setpoint(solution, state, config)
+        return extract_setpoint(solution, state, config, 0)
+
+    def _replay(self, state, day: DayProfile, commitment: Commitment,
+                tariff: TariffSchedule, config: MicrogridConfig) -> DispatchSetpoint | None:
+        """The held plan's setpoint for this hour, or None on a guard hit."""
+        held = self._plan
+        if held is None:
+            return None
+        h = state.hour_of_day
+        k = h - held.context.start_hour
+        if (k < 1 or held.context.commitment is not commitment
+                or held.tariff is not tariff or held.config is not config
+                or not np.array_equal(held.context.load_kw[0, k:], day.load_kw[h:])
+                or not np.array_equal(held.context.pv_kw[0, k:], day.pv_kw[h:])):
+            return None
+        planned = [plan_value(held.solution, key, k - 1) for key in ("soc", "dg")]
+        if any(abs(a - b) > VALIDATION_TOL
+               for a, b in zip(planned, [state.soc_kwh, state.dg_prev_kw])):
+            return None
+        return extract_setpoint(held.solution, state, config, k)
 
 
 @dataclass(frozen=True)
@@ -271,8 +344,23 @@ class SimulationReport:
         return float(sum(r.outcome.curtailed_kw for r in self.records))
 
     @property
+    def decision_seconds(self) -> np.ndarray:
+        return np.array([r.decision_seconds for r in self.records])
+
+    @property
     def mean_decision_seconds(self) -> float:
-        return float(np.mean([r.decision_seconds for r in self.records]))
+        return float(np.mean(self.decision_seconds))
+
+    @property
+    def p95_decision_seconds(self) -> float:
+        """The 95th percentile of the decision latencies, by linear
+        interpolation. A mean hides rare slow decisions, such as the one
+        window a day a perfect-mode run solves."""
+        return float(np.percentile(self.decision_seconds, 95))
+
+    @property
+    def max_decision_seconds(self) -> float:
+        return float(np.max(self.decision_seconds))
 
     def trajectory(self):
         return [(r.state, r.setpoint, r.outcome) for r in self.records]
@@ -309,7 +397,7 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
 
     The run drives a shallow copy of `controller`, so whatever state the
     controller reassigns from hour to hour, an MPC controller's forecaster
-    and plan among it, ends with the run: a reused controller repeats a
+    and two held plans among it, ends with the run: a reused controller repeats a
     fresh one.
     """
     if len(days) == 0:

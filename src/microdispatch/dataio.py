@@ -304,6 +304,7 @@ def write_summary_csv(reports: dict[str, SimulationReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["controller", "average_hourly_cost", "average_hourly_dg_cost",
                          "blackout_count", "curtailed_kwh", "mean_decision_seconds",
+                         "p95_decision_seconds", "max_decision_seconds",
                          "gap_to_perfect_pct"])
         for name, report in reports.items():
             writer.writerow([
@@ -313,5 +314,7 @@ def write_summary_csv(reports: dict[str, SimulationReport], path) -> None:
                 report.blackout_count,
                 f"{report.curtailed_kwh:.3f}",
                 f"{report.mean_decision_seconds:.6f}",
+                f"{report.p95_decision_seconds:.6f}",
+                f"{report.max_decision_seconds:.6f}",
                 "" if gaps[name] is None else f"{gaps[name]:.6f}",
             ])

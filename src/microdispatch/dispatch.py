@@ -298,28 +298,37 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
 def shifted_start(model: LinearProgram, context: RealTimeContext, plan: MilpSolution,
                   plan_context: RealTimeContext) -> dict[int, float]:
     """A start for the real-time `model` of `context` from the optimal plan
-    of `plan_context`, the window one hour earlier: {variable index: value}.
+    of `plan_context`: {variable index: value}.
 
-    Each row of `context` is paired by its data with the first earlier row
-    whose data one hour later equal its own from its second hour on; the
-    first hour is the live measurement, which no earlier row holds. The
-    start takes the binaries `udg` and `uess` of the earlier row's hour k+1
-    as hour k, for every k >= 1. The first hour, which all rows share, is
-    left to the solver, as are the continuous values. A row without a pair
-    gets nothing, as a forecast row does once the forecaster re-scales.
+    The plan's window began `shift = context.start_hour -
+    plan_context.start_hour` hours earlier, so hour k of `context` is hour
+    k + shift of the plan, at the same clock hour. A plan that begins later
+    gives nothing. Shift 1 is the previous hour's window; shift 0 is a window
+    of the same hour, such as an earlier day's midnight window. Each row of
+    `context` is paired by its data with the first plan row whose data at the
+    same clock hours equal its own from its second hour on; the first hour is
+    the live measurement, which no earlier row holds. The start takes the
+    binaries `udg` and `uess` of the plan row's hour k + shift as hour k, for
+    every k >= 1. The first hour, which all rows share, is left to the
+    solver, as are the continuous values. A row without a pair gets nothing,
+    as a forecast row does once the forecaster re-scales, or a perfect row
+    on another day.
     """
+    shift = context.start_hour - plan_context.start_hour
+    if shift < 0:
+        return {}
     start: dict[int, float] = {}
     plan_rows = list(zip(plan_context.load_kw, plan_context.pv_kw))
     for s, (load, pv) in enumerate(zip(context.load_kw, context.pv_kw)):
         paired = next((p for p, (old_load, old_pv) in enumerate(plan_rows)
-                       if np.array_equal(load[1:], old_load[2:])
-                       and np.array_equal(pv[1:], old_pv[2:])), None)
+                       if np.array_equal(load[1:], old_load[shift + 1:])
+                       and np.array_equal(pv[1:], old_pv[shift + 1:])), None)
         if paired is None:
             continue
         for k in range(1, len(load)):
             for key in ("udg", "uess"):
                 start[model.index(f"{key}[{s},{k}]")] = plan.value(
-                    f"{key}[{paired},{k + 1}]")
+                    f"{key}[{paired},{k + shift}]")
     return start
 
 
@@ -348,30 +357,45 @@ def extract_commitment(solution: MilpSolution) -> Commitment:
                       buying=buying)
 
 
-def extract_setpoint(solution: MilpSolution, state: MicrogridState,
-                     config: MicrogridConfig) -> DispatchSetpoint:
-    """First-hour decision of an optimal real-time solution from the window's
-    boundary `state`; the rest is discarded.
+def plan_value(solution: MilpSolution, key: str, hour: int) -> float:
+    """The value of variable `key` at `hour` of a real-time plan's first
+    profile row: `key[0]` at hour 0, which all rows share, and `key[0,k]` at
+    hour k >= 1."""
+    return solution.value(f"{key}[0]" if hour == 0 else f"{key}[0,{hour}]")
 
-    `stop[0]` is continuous, and an optimum may use any fraction of the
-    shutdown ramp. With the generator running, a `stop[0]` above ROUND_TOL
+
+def extract_setpoint(solution: MilpSolution, state: MicrogridState,
+                     config: MicrogridConfig, hour: int) -> DispatchSetpoint:
+    """The decision at `hour` of an optimal real-time plan's first profile
+    row, taken from the boundary `state` of that hour.
+
+    Hour 0 is the window's own decision, read from `dg[0]` etc.; the rest is
+    discarded. Hour k >= 1 reads `dg[0,k]` etc., which is how a plan made
+    under perfect information is replayed while the plant follows it.
+
+    `stop` is continuous, and an optimum may use any fraction of the
+    shutdown ramp. With the generator running, a `stop` above ROUND_TOL
     sets the stop flag, so a plan that leans on the shutdown ramp gets it
-    from the plant. With it idle, `stop[0]` is free and sets nothing.
+    from the plant. With it idle, `stop` is free and sets nothing.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise ExtractionError(f"cannot extract from a {solution.status.value} solution")
-    on = solution.value("udg[0]") > 0.5
-    dg = _round_clip(solution.value("dg[0]"))
+
+    def value(key: str) -> float:
+        return plan_value(solution, key, hour)
+
+    on = value("udg") > 0.5
+    dg = _round_clip(value("dg"))
     dg = min(max(dg, config.dg_power_min), config.dg_power_max) if on else 0.0
-    dis = _round_clip(solution.value("dis[0]"))
-    chg = _round_clip(solution.value("ch[0]"))
+    dis = _round_clip(value("dis"))
+    chg = _round_clip(value("ch"))
     if dis >= chg:
         dis, chg = dis - chg, 0.0
     else:
         dis, chg = 0.0, chg - dis
     return DispatchSetpoint(
         dg_kw=dg, ess_charge_kw=chg, ess_discharge_kw=dis,
-        dg_stop=state.dg_on and solution.value("stop[0]") > ROUND_TOL,
+        dg_stop=state.dg_on and value("stop") > ROUND_TOL,
     )
 
 

@@ -8,9 +8,10 @@ stochastic-gradient updates on the squared TD error. Everything is driven
 by one seeded generator, so a training run reproduces bit-identical weights.
 
 The trained artifact is a JSON weight file (format version 2): the layer
-sizes, weights and biases. Loading refuses any other format version and
-weights whose shapes disagree with the declared layer sizes. The
-observation scales are module constants, not part of the file.
+sizes, weights and biases. Loading refuses, naming the file, any other
+format version, arrays that do not form a network, and weights whose shapes
+disagree with the declared layer sizes. The observation scales are module
+constants, not part of the file.
 
 Training runs its matrix products on one BLAS thread. At batch 64 the
 64x128x128 products lie above OpenBLAS's threading threshold, and handing
@@ -72,9 +73,20 @@ class DqnConfig:
 
 
 class MlpNetwork:
-    """Dense rectifier network; weights are float64 throughout."""
+    """Dense rectifier network; weights are float64 throughout.
+
+    At least one layer, each a 2-D weight matrix and a 1-D bias whose shapes
+    chain from one layer to the next; anything else is a ValueError.
+    """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if not weights:
+            raise ValueError("the network has no layers")
+        if len(biases) != len(weights):
+            raise ValueError(f"{len(weights)} weight matrices but {len(biases)} "
+                             f"bias vectors")
+        if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
+            raise ValueError("every weight must be a matrix and every bias a vector")
         self.weights = weights
         self.biases = biases
         for w, b in zip(weights, biases):
@@ -138,9 +150,16 @@ class MlpNetwork:
             layer_sizes = payload["layer_sizes"]
         except KeyError as exc:
             raise ValueError(f"{path}: weight file has no {exc.args[0]!r} entry") from None
-        network = cls(weights, biases)
+        except (TypeError, ValueError):
+            # a ragged or non-numeric list
+            raise ValueError(f"{path}: weights and biases must be lists of numeric "
+                             f"arrays") from None
+        try:
+            network = cls(weights, biases)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if network.layer_sizes != layer_sizes:
-            raise ValueError("weight shapes disagree with the declared layer sizes")
+            raise ValueError(f"{path}: weight shapes disagree with the declared layer sizes")
         return network
 
 

@@ -6,7 +6,9 @@
 through `TrainingEnvironment`, `DqnConfig` and `train_agent`, and rolls out
 `DrlController` on what `train_agent` returns. A signature change that
 breaks either fails here, not first in a benchmark run. The benchmark's
-validator check must also pass on each MPC controller's setpoints.
+validator check must also pass on each MPC controller's setpoints, and the
+window work of a compare-reset day must repeat exactly, so that two
+versions of the program can be diffed by work where timing cannot tell.
 """
 
 import sys
@@ -32,6 +34,7 @@ from microdispatch.domain import (  # noqa: E402
     TariffSchedule,
 )
 from microdispatch.forecasting import LoadPvForecaster  # noqa: E402
+from microdispatch.milp import solve_milp  # noqa: E402
 from microdispatch.scenarios import (  # noqa: E402
     build_dayahead_scenarios,
     build_realtime_scenarios,
@@ -163,3 +166,44 @@ def test_mpc_setpoints_flag_no_stop_on_an_idle_generator(mpc_controllers, mode):
                   if r.setpoint.dg_stop and not r.state.dg_on]
     assert idle_stops == []
     assert checks.check_validator(report, CFG) == []
+
+
+def window_work(setup, cache, monkeypatch) -> dict[str, list[tuple[int, int]]]:
+    """(simplex iterations, nodes) of every window solve of day 0 of a
+    compare-reset round, by MPC kind."""
+    work: dict[str, list[tuple[int, int]]] = {}
+
+    def recording(model, **kwargs):
+        solution = solve_milp(model, **kwargs)
+        work[kind].append((solution.iterations, solution.node_count))
+        return solution
+
+    monkeypatch.setattr(controllers, "solve_milp", recording)
+    for mpc in (controllers.MpcController(dispatch.PERFECT),
+                controllers.MpcController(dispatch.FORECAST, forecaster=setup["forecaster"]),
+                controllers.MpcController(dispatch.STOCHASTIC, scenarios=setup["realtime"])):
+        kind = mpc.kind
+        work[kind] = []
+        controllers.run_simulation(mpc, setup["days"][:1], workloads.TARIFF,
+                                   workloads.CONFIG, setup["day_ahead"],
+                                   workloads._reset_options(), commitment_cache=cache)
+    monkeypatch.undo()
+    return work
+
+
+def test_a_compare_reset_day_repeats_its_window_work(monkeypatch):
+    """Perfect mode replays its midnight plan; the other modes solve every
+    hour. HiGHS is deterministic for a given model and start, so a second
+    run repeats the summed work exactly."""
+    setup = workloads._setup_compare(0)
+    cache: dict = {}
+    first, second = (window_work(setup, cache, monkeypatch) for _ in range(2))
+    assert {kind: len(solves) for kind, solves in first.items()} == {
+        controllers.MPC_PERFECT: 1, controllers.MPC_FORECAST: 24,
+        controllers.MPC_STOCHASTIC: 24}
+
+    def summed(work):
+        return {kind: tuple(map(sum, zip(*solves))) for kind, solves in work.items()}
+
+    assert summed(second) == summed(first)
+    assert all(iterations > 0 for iterations, _ in summed(first).values())

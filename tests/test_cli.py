@@ -218,6 +218,11 @@ class TestSimulateCompareValidate:
         rows = {r["controller"]: r for r in csv.DictReader(summary)}
         assert float(rows["mpc-perfect"]["gap_to_perfect_pct"]) == 0.0
         assert float(rows["rule-based"]["gap_to_perfect_pct"]) > 0.0
+        for row in rows.values():
+            assert (0.0 <= float(row["mean_decision_seconds"])
+                    <= float(row["max_decision_seconds"]))
+            assert 0.0 <= float(row["p95_decision_seconds"]) <= float(
+                row["max_decision_seconds"])
 
     def test_single_controller_compare(self, small_year, tmp_path):
         out = tmp_path / "cmp1"
@@ -258,6 +263,19 @@ class TestSimulateCompareValidate:
         ({"format_version": 1, "weights": [], "biases": [], "layer_sizes": [],
           "normalization": {"load_scale_kw": 1.0}, "config_fingerprint": ""},
          "unsupported weight format 1"),
+        ({"format_version": 2, "weights": [], "biases": [], "layer_sizes": []},
+         "the network has no layers"),
+        # without the count check, zip would drop the second layer silently
+        ({"format_version": 2, "weights": [np.zeros((6, 4)).tolist(),
+                                           np.zeros((4, 40)).tolist()],
+          "biases": [[0.0] * 4], "layer_sizes": [6, 4, 40]},
+         "2 weight matrices but 1 bias vectors"),
+        ({"format_version": 2, "weights": [[[0.0, 1.0], [2.0]]], "biases": [[0.0]],
+          "layer_sizes": [2, 2]},
+         "weights and biases must be lists of numeric arrays"),
+        ({"format_version": 2, "weights": [np.zeros((6, 40)).tolist()],
+          "biases": [[0.0] * 40], "layer_sizes": [6, 4, 40]},
+         "weight shapes disagree with the declared layer sizes"),
     ])
     def test_malformed_weight_file_is_an_error_line(self, small_year, tmp_path, capsys,
                                                     payload, says):
@@ -303,7 +321,8 @@ class TestSimulateCompareValidate:
                     "--days", "1", "--out", str(tmp_path / "cmp"), *flags]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [
             line, f"{'controller':16s} {'avg $/h':>10s} {'avg DG $/h':>11s} "
-                  f"{'s/decision':>11s} {'blackout h':>10s} {'gap %':>8s}"]
+                  f"{'s/decision':>11s} {'p95 s':>8s} {'max s':>8s} "
+                  f"{'blackout h':>10s} {'gap %':>8s}"]
 
     def test_compare_clean_controllers(self, small_year, tmp_path, capsys):
         assert run(["compare", "--data", str(small_year),

@@ -239,7 +239,7 @@ class TestRealtimeBuilder:
         assert solution.status is SolveStatus.OPTIMAL
         expected = sum(TARIFF.price(t) * 2000.0 for t in range(24))
         assert solution.objective == pytest.approx(expected, rel=1e-9)
-        sp = extract_setpoint(solution, ctx.state, CFG)
+        sp = extract_setpoint(solution, ctx.state, CFG, 0)
         assert sp.dg_kw == 0.0 and sp.ess_charge_kw == 0.0 and sp.ess_discharge_kw == 0.0
 
     def test_objective_equals_cost_of_full_plan(self):
@@ -285,8 +285,8 @@ class TestRealtimeBuilder:
             ctx_f = perfect_context(day, hour=hour, soc=soc)
             sol_p = solve_milp(build_realtime(ctx_p, TARIFF, CFG, PERFECT))
             sol_f = solve_milp(build_realtime(ctx_f, TARIFF, CFG, FORECAST))
-            sp_p = extract_setpoint(sol_p, ctx_p.state, CFG)
-            sp_f = extract_setpoint(sol_f, ctx_f.state, CFG)
+            sp_p = extract_setpoint(sol_p, ctx_p.state, CFG, 0)
+            sp_f = extract_setpoint(sol_f, ctx_f.state, CFG, 0)
             assert sp_p == sp_f
 
     def test_stochastic_with_identical_scenarios_collapses(self):
@@ -306,8 +306,8 @@ class TestRealtimeBuilder:
                 assert ctx_s.probabilities == (1.0,)
                 model_s = build_realtime(ctx_s, TARIFF, CFG, STOCHASTIC)
                 assert_same_standard_form(model_s, model_f)
-                sp_f = extract_setpoint(solve_milp(model_f), ctx_f.state, CFG)
-                assert extract_setpoint(solve_milp(model_s), ctx_s.state, CFG) == sp_f
+                sp_f = extract_setpoint(solve_milp(model_f), ctx_f.state, CFG, 0)
+                assert extract_setpoint(solve_milp(model_s), ctx_s.state, CFG, 0) == sp_f
 
     def test_feasibility_closure_of_day_ahead_commitment(self):
         profiles = [flat_day(7000, 1000), flat_day(5500, 9000), flat_day(6000, 4000)]
@@ -400,7 +400,7 @@ class TestRealtimeBuilder:
         day = flat_day(9000, 0)
         ctx = perfect_context(day, soc=2500.0)
         solution = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT, elastic=True))
-        sp = extract_setpoint(solution, ctx.state, CFG)
+        sp = extract_setpoint(solution, ctx.state, CFG, 0)
         assert sp.dg_kw > 0
         assert CFG.dg_power_min <= sp.dg_kw <= CFG.dg_power_max
         assert sp.ess_charge_kw * sp.ess_discharge_kw == 0.0
@@ -433,7 +433,7 @@ class TestStartStopFlags:
     def test_flags_from_continuous_values(self, values, flags):
         running, stop = flags
         state = state_at(12, 12500.0, 3000.0 if running else 0.0)
-        assert extract_setpoint(first_hour_solution(**values), state, CFG).dg_stop == stop
+        assert extract_setpoint(first_hour_solution(**values), state, CFG, 0).dg_stop == stop
 
     def test_plant_applies_a_plan_on_the_shutdown_ramp(self):
         # running at 8000 kW with an empty battery and 3000 kW to cover: the
@@ -446,7 +446,7 @@ class TestStartStopFlags:
         ctx = RealTimeContext(state=state, start_hour=20, hours=4, commitment=commitment,
                               load_kw=day.load_kw[20:], pv_kw=day.pv_kw[20:])
         solution = solve_milp(build_realtime(ctx, TARIFF, CFG, PERFECT))
-        sp = extract_setpoint(solution, state, CFG)
+        sp = extract_setpoint(solution, state, CFG, 0)
         assert sp.dg_kw == pytest.approx(3000.0, abs=1e-6)
         assert sp.dg_stop
         outcome = step_plant(state, sp, commitment.hour(20), 3000.0, 0.0,
