@@ -233,13 +233,16 @@ def cmd_train_drl(args) -> int:
     return EXIT_OK
 
 
-def _run_controllers(args, kinds):
-    """Run `kinds` on what follows the 11-month training span, each trained on
-    the trailing `--train-months` of it, as `day-ahead` and `train-drl` are.
+def _controller_run(args, kinds):
+    """Read the inputs and build `kinds`, each trained on the trailing
+    `--train-months` of the 11-month training span, as `day-ahead` and
+    `train-drl` are; returns the run, a call that runs them on what follows
+    that span.
 
-    Prints failures and each trajectory's `validate_trajectory` violations
-    (at most 20; a blackout hour's power-balance shortfall counts as a
-    blackout instead) to stderr, and returns the reports and the exit code.
+    The run prints failures and each trajectory's `validate_trajectory`
+    violations (at most 20; a blackout hour's power-balance shortfall counts
+    as a blackout instead) to stderr, and returns the reports and the exit
+    code.
     """
     config, tariff, days, train, scenarios = _load_inputs(args)
     _, test = split_train_test(days)
@@ -250,28 +253,32 @@ def _run_controllers(args, kinds):
         reset_soc_kwh=args.reset_soc,
         planning_soc=args.planning_soc)
     controllers = {kind: _build_controller(kind, train, config, args) for kind in kinds}
-    reports, failures = compare_controllers(controllers, test, tariff, config,
-                                            scenarios, options)
-    for kind, message in failures.items():
-        print(f"{kind}: FAILED ({message})", file=sys.stderr)
-    broken = False
-    for kind, report in reports.items():
-        violations = [v for v in validate_trajectory(report.trajectory(),
-                                                     report.commitments, config)
-                      if not (v.constraint == "power-balance"
-                              and report.records[v.step].outcome.blackout)]
-        if violations:
-            broken = True
-            print(f"{kind}: {len(violations)} constraint violations", file=sys.stderr)
-            for v in violations[:20]:
-                print(f"  step {v.step} hour {v.hour_of_day}: {v.constraint} "
-                      f"by {v.magnitude:.6g}", file=sys.stderr)
-    status = EXIT_RUNTIME if failures else EXIT_VALIDATION if broken else EXIT_OK
-    return reports, status
+
+    def run():
+        reports, failures = compare_controllers(controllers, test, tariff, config,
+                                                scenarios, options)
+        for kind, message in failures.items():
+            print(f"{kind}: FAILED ({message})", file=sys.stderr)
+        broken = False
+        for kind, report in reports.items():
+            violations = [v for v in validate_trajectory(report.trajectory(),
+                                                         report.commitments, config)
+                          if not (v.constraint == "power-balance"
+                                  and report.records[v.step].outcome.blackout)]
+            if violations:
+                broken = True
+                print(f"{kind}: {len(violations)} constraint violations", file=sys.stderr)
+                for v in violations[:20]:
+                    print(f"  step {v.step} hour {v.hour_of_day}: {v.constraint} "
+                          f"by {v.magnitude:.6g}", file=sys.stderr)
+        status = EXIT_RUNTIME if failures else EXIT_VALIDATION if broken else EXIT_OK
+        return reports, status
+
+    return run
 
 
 def cmd_simulate(args) -> int:
-    reports, status = _run_controllers(args, [args.controller])
+    reports, status = _controller_run(args, [args.controller])()
     if status == EXIT_RUNTIME:
         return status
     report = reports[args.controller]
@@ -286,8 +293,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports, status = _run_controllers(args, args.controllers)
+    run = _controller_run(args, args.controllers)
+    # a path that cannot be the output directory fails before any controller runs
     os.makedirs(args.out, exist_ok=True)
+    reports, status = run()
     if reports:
         _atomic_write(os.path.join(args.out, "summary.csv"),
                       lambda tmp: write_summary_csv(reports, tmp))
@@ -387,7 +396,7 @@ def main(argv=None) -> int:
         parser.error("the drl controller needs --weights")
     try:
         return args.func(args)
-    except (ExtractionError, FileNotFoundError, SolverError, ValueError) as exc:
+    except (ExtractionError, OSError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

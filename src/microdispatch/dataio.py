@@ -139,28 +139,31 @@ def write_profiles(days, path) -> None:
 
 
 def read_profiles(path) -> list[DayProfile]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != PROFILE_HEADER:
-            raise DataFormatError(f"{path}: expected header {','.join(PROFILE_HEADER)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                day, hour = int(row[0]), int(row[1])
-                load, pv = float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: unparseable row {row!r}") from exc
-            if not (math.isfinite(load) and math.isfinite(pv)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite power")
-            if load < 0 or pv < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative power")
-            rows.append((day, hour, load, pv, lineno))
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            if [c.strip() for c in header] != PROFILE_HEADER:
+                raise DataFormatError(f"{path}: expected header {','.join(PROFILE_HEADER)}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    day, hour = int(row[0]), int(row[1])
+                    load, pv = float(row[2]), float(row[3])
+                except (ValueError, IndexError) as exc:
+                    raise DataFormatError(f"{path}:{lineno}: unparseable row {row!r}") from exc
+                if not (math.isfinite(load) and math.isfinite(pv)):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite power")
+                if load < 0 or pv < 0:
+                    raise DataFormatError(f"{path}:{lineno}: negative power")
+                rows.append((day, hour, load, pv, lineno))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows (header only)")
 
@@ -188,8 +191,11 @@ def read_profiles(path) -> list[DayProfile]:
 
 
 def load_config(path) -> tuple[MicrogridConfig, TariffSchedule]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise DataFormatError(f"{path}: {exc}") from None
     try:
         grid_fields = payload["microgrid"]
         tariff_fields = payload["tariff"]

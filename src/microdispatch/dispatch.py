@@ -11,6 +11,14 @@ its own recourse from it. The builders know no MPC mode: what a mode
 believes about the rest of the day reaches them as those rows, which
 `MpcController.decide` fills in.
 
+Both builders write their hour blocks through one writer,
+`_add_hour_blocks`, which declares a whole grid of blocks as arrays: one
+`LinearProgram.add_vars` call and one `add_rows` call, with no Python loop
+over terms. The coupling to the previous hour is an index array and the
+boundary state a constant. `tests/oracles.py` keeps the same formulation
+written one term at a time, and the tests require that both give HiGHS
+equal arrays.
+
 All builders are pure; extraction helpers turn optimal solutions back into
 domain values, rounding at 1e-6 and enforcing the domain invariants exactly.
 """
@@ -18,6 +26,7 @@ domain values, rounding at 1e-6 and enforcing the domain invariants exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from microdispatch.domain import (
     MicrogridState,
     TariffSchedule,
 )
-from microdispatch.milp import LinearProgram, MilpSolution, SolveStatus, solve_milp
+from microdispatch.milp import EQ, GE, LE, LinearProgram, MilpSolution, SolveStatus, solve_milp
 from microdispatch.scenarios import ScenarioSet
 
 PERFECT = "perfect"
@@ -88,44 +97,47 @@ class RealTimeContext:
         object.__setattr__(self, "pv_kw", pv)
 
 
-def _var(idx: int):
-    """A variable as a linear expression `(terms, constant)`."""
-    return [(idx, 1.0)], 0.0
+class _Expr(NamedTuple):
+    """A linear expression per hour block: the variable `cols[b]`, none
+    where it is -1, plus the constant `const[b]`."""
+
+    cols: np.ndarray
+    const: np.ndarray
 
 
-def _const(value: float):
-    """A constant as a linear expression `(terms, constant)`."""
-    return [], float(value)
+def _var(cols) -> _Expr:
+    cols = np.asarray(cols, dtype=np.int64)
+    return _Expr(cols, np.zeros(len(cols)))
 
 
-_ZERO = _const(0.0)
+def _const(values) -> _Expr:
+    const = np.asarray(values, dtype=float)
+    return _Expr(np.full(len(const), -1), const)
 
 
-def _add_row(lp: LinearProgram, terms: list, rel: str, rhs: float,
-             coef: float, expr, coef2: float = 0.0, expr2=_ZERO) -> None:
-    """The row `terms + coef * expr + coef2 * expr2 rel rhs`, with the
-    expressions' constants moved to the right-hand side."""
-    for idx, a in expr[0]:
-        terms.append((idx, coef * a))
-    for idx, a in expr2[0]:
-        terms.append((idx, coef2 * a))
-    lp.add_row(terms, rel, rhs - coef * expr[1] - coef2 * expr2[1])
+#: an hour block's variables in declaration order; `slack` only when elastic
+_KEYS = ("dg", "ch", "dis", "uess", "udg", "start", "stop", "slack", "soc")
 
 
-def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, label: str, prev: dict,
-                    weight: float, *, reserve_down, reserve_up, net_load: float,
-                    grid=_ZERO, elastic: bool = False) -> dict:
-    """Declare one hour's plant variables, named `dg[label]` etc., their
-    costs times `weight`, and the hour's constraint rows.
+def _add_hour_blocks(lp: LinearProgram, cfg: MicrogridConfig, labels: list[str],
+                     prev: np.ndarray, weight: np.ndarray, *, boundary: tuple,
+                     net_load: np.ndarray, reserve_down: _Expr, reserve_up: _Expr,
+                     ends: np.ndarray, grid: tuple[_Expr, _Expr] | None = None,
+                     elastic: bool = False) -> None:
+    """Declare a grid of hour blocks in one call: block `b` gets the plant
+    variables named `dg[labels[b]]` etc., their costs times `weight[b]`, and
+    the hour's 14 constraint rows.
 
-    Everything the hour couples to is a linear expression `(terms,
-    constant)` made by `_var` or `_const`: the previous hour's `prev["soc"]`,
-    `prev["udg"]` and `prev["dg"]`, the two reserves, and the grid exchange
-    `grid`, which is a pair of variables in the day-ahead program and zero
-    otherwise (the committed values are then folded into `net_load`). So a
-    value is a constant and a variable is an index whatever its Python type.
-    With `elastic`, the balance row gains a penalized shortfall variable.
-    Returns the hour's variable indices.
+    Block `b` follows block `prev[b]`, which comes before it, or the boundary
+    state `(soc, udg, dg)`, a constant, where `prev[b]` is -1. The two
+    reserves and the grid exchange `grid`, a (buy, sell) pair, are `_Expr`s:
+    variables in the day-ahead program, constants otherwise (the committed
+    exchange is then folded into `net_load`). Each entry of `ends`, in
+    ascending order, is the last block of one chain of hours, which gets the
+    row `soc >= ess_energy_end` after its own rows. With `elastic`, the
+    balance rows gain a penalized shortfall variable. Variables and rows
+    come out in block order, so the model is the one a loop over the blocks
+    writes, term for term (`tests/oracles.py` keeps that loop).
 
     The status `udg` and the ESS mode `uess` are binary; `start` and `stop`
     are continuous in [0, 1], as in tight-and-compact unit commitment, and
@@ -142,65 +154,92 @@ def _add_hour_block(lp: LinearProgram, cfg: MicrogridConfig, label: str, prev: d
     and every other variable has the same feasible set as with binary
     `start`/`stop`.
     """
-    v = {
-        "dg": lp.add_var(f"dg[{label}]", 0.0, cfg.dg_power_max),
-        "ch": lp.add_var(f"ch[{label}]", 0.0, cfg.ess_power_cap),
-        "dis": lp.add_var(f"dis[{label}]", 0.0, cfg.ess_power_cap),
-        "uess": lp.add_binary(f"uess[{label}]"),
-        "udg": lp.add_binary(f"udg[{label}]"),
-        "start": lp.add_var(f"start[{label}]", 0.0, 1.0),
-        "stop": lp.add_var(f"stop[{label}]", 0.0, 1.0),
-    }
+    keys = tuple(key for key in _KEYS if elastic or key != "slack")
+    bounds = {"dg": (0.0, cfg.dg_power_max), "ch": (0.0, cfg.ess_power_cap),
+              "dis": (0.0, cfg.ess_power_cap), "uess": (0.0, 1.0), "udg": (0.0, 1.0),
+              "start": (0.0, 1.0), "stop": (0.0, 1.0), "slack": (0.0, ELASTIC_SLACK_CAP),
+              "soc": (cfg.ess_energy_min, cfg.ess_energy_max)}
+    blocks = len(labels)
+    low, high = np.array([bounds[key] for key in keys]).T
+    index = lp.add_vars([f"{key}[{label}]" for label in labels for key in keys],
+                        np.tile(low, blocks), np.tile(high, blocks),
+                        np.tile([key in ("uess", "udg") for key in keys], blocks))
+    v = dict(zip(keys, index.reshape(blocks, len(keys)).T))
+    costs = {"dg": weight * cfg.dg_unit_cost, "ch": weight * cfg.ess_unit_cost,
+             "dis": weight * cfg.ess_unit_cost}
     if elastic:
-        v["slack"] = lp.add_var(f"slack[{label}]", 0.0, ELASTIC_SLACK_CAP)
-        lp.set_objective(v["slack"], weight * ELASTIC_PENALTY_FACTOR * cfg.dg_unit_cost)
-    v["soc"] = lp.add_var(f"soc[{label}]", cfg.ess_energy_min, cfg.ess_energy_max)
-    lp.set_objective(v["dg"], weight * cfg.dg_unit_cost)
-    lp.set_objective(v["ch"], weight * cfg.ess_unit_cost)
-    lp.set_objective(v["dis"], weight * cfg.ess_unit_cost)
+        costs["slack"] = weight * ELASTIC_PENALTY_FACTOR * cfg.dg_unit_cost
+    lp.add_costs(np.concatenate([v[key] for key in costs]), np.concatenate(list(costs.values())))
 
-    dg, ch, dis = v["dg"], v["ch"], v["dis"]
-    uess, udg, start, stop = v["uess"], v["udg"], v["start"], v["stop"]
-    soc = v["soc"]
+    follows = prev >= 0
 
-    # power balance
-    balance = [(dis, 1.0), (ch, -1.0), (dg, 1.0)]
-    if elastic:
-        balance.append((v["slack"], 1.0))
-    _add_row(lp, balance, ">=", net_load, 1.0, grid)
+    def carried(key: str, value: float) -> _Expr:
+        """The previous hour's variable `key`, or the boundary `value`."""
+        return _Expr(np.where(follows, v[key][prev], -1), np.where(follows, 0.0, value))
 
-    # ESS mode gating and rated power
-    lp.add_row([(dis, 1.0), (uess, -cfg.ess_power_cap)], "<=", 0.0)
-    lp.add_row([(ch, 1.0), (uess, cfg.ess_power_cap)], "<=", cfg.ess_power_cap)
+    soc_prev, udg_prev, dg_prev = (carried(key, value)
+                                   for key, value in zip(("soc", "udg", "dg"), boundary))
+    cap = cfg.ess_power_cap
+    balance = [("dis", 1.0), ("ch", -1.0), ("dg", 1.0)] + [("slack", 1.0)] * elastic
+    # (relation, rhs, own terms, coupled terms) of each row, in the order a
+    # block writes them
+    template = [
+        # power balance
+        (GE, net_load, balance, [(grid[0], 1.0), (grid[1], -1.0)] if grid else []),
+        # ESS mode gating and rated power
+        (LE, 0.0, [("dis", 1.0), ("uess", -cap)], []),
+        (LE, cap, [("ch", 1.0), ("uess", cap)], []),
+        # SOC recursion
+        (EQ, 0.0, [("soc", 1.0), ("dis", cfg.eta_discharge), ("ch", -cfg.eta_charge)],
+         [(soc_prev, -1.0)]),
+        # reserve headroom around the rated power
+        (LE, cap, [("dis", 1.0), ("ch", -1.0)], [(reserve_down, 1.0)]),
+        (LE, cap, [("dis", -1.0), ("ch", 1.0)], [(reserve_up, 1.0)]),
+        # DG start/stop logic
+        (LE, 1.0, [("start", 1.0), ("stop", 1.0)], []),
+        (LE, 0.0, [("start", 1.0), ("stop", -1.0), ("udg", -1.0)], [(udg_prev, 1.0)]),
+        (LE, 1.0, [("start", 1.0)], [(udg_prev, 1.0)]),
+        (LE, 0.0, [("start", 1.0), ("udg", -1.0)], []),
+        # DG capacity window and ramps
+        (LE, 0.0, [("dg", 1.0), ("udg", -cfg.dg_power_max)], []),
+        (LE, 0.0, [("dg", -1.0), ("udg", cfg.dg_power_min)], []),
+        (LE, 0.0, [("dg", 1.0), ("start", -cfg.dg_startup_ramp)],
+         [(dg_prev, -1.0), (udg_prev, -cfg.dg_ramp_up)]),
+        (LE, 0.0, [("dg", -1.0), ("udg", -cfg.dg_ramp_down), ("stop", -cfg.dg_shutdown_ramp)],
+         [(dg_prev, 1.0)]),
+    ]
 
-    # SOC recursion
-    _add_row(lp, [(soc, 1.0), (dis, cfg.eta_discharge), (ch, -cfg.eta_charge)], "=", 0.0,
-             -1.0, prev["soc"])
+    # a block's rows follow the rows of the blocks before it and their ends
+    width = len(template)
+    tails = np.bincount(ends, minlength=blocks)
+    first = width * np.arange(blocks) + np.cumsum(tails) - tails
+    block_rows = (first[:, None] + np.arange(width)).ravel()
+    terminal = first[ends] + width + np.arange(len(ends)) - np.searchsorted(ends, ends)
+    rels = np.empty(len(block_rows) + len(ends), dtype="<U2")
+    rels[block_rows] = np.tile([rel for rel, _, _, _ in template], blocks)
+    rels[terminal] = GE
+    # each row's constants move to the right-hand side in the template's order
+    side = np.empty((blocks, width))
+    for r, (_, base, _, coupled) in enumerate(template):
+        side[:, r] = base
+        for expr, coef in coupled:
+            side[:, r] -= coef * expr.const
+    rhs = np.empty(len(rels))
+    rhs[block_rows] = side.ravel()
+    rhs[terminal] = cfg.ess_energy_end
 
-    # reserve headroom around the rated power
-    _add_row(lp, [(dis, 1.0), (ch, -1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_down)
-    _add_row(lp, [(dis, -1.0), (ch, 1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_up)
-
-    # DG start/stop logic
-    lp.add_row([(start, 1.0), (stop, 1.0)], "<=", 1.0)
-    _add_row(lp, [(start, 1.0), (stop, -1.0), (udg, -1.0)], "<=", 0.0,
-             1.0, prev["udg"])
-    _add_row(lp, [(start, 1.0)], "<=", 1.0, 1.0, prev["udg"])
-    lp.add_row([(start, 1.0), (udg, -1.0)], "<=", 0.0)
-
-    # DG capacity window and ramps
-    lp.add_row([(dg, 1.0), (udg, -cfg.dg_power_max)], "<=", 0.0)
-    lp.add_row([(dg, -1.0), (udg, cfg.dg_power_min)], "<=", 0.0)
-    _add_row(lp, [(dg, 1.0), (start, -cfg.dg_startup_ramp)], "<=", 0.0,
-             -1.0, prev["dg"], -cfg.dg_ramp_up, prev["udg"])
-    _add_row(lp, [(dg, -1.0), (udg, -cfg.dg_ramp_down), (stop, -cfg.dg_shutdown_ramp)],
-             "<=", 0.0, 1.0, prev["dg"])
-    return v
-
-
-def _carried(v: dict) -> dict:
-    """The coupling expressions an hour hands to the next one."""
-    return {"soc": _var(v["soc"]), "udg": _var(v["udg"]), "dg": _var(v["dg"])}
+    r_own, k_own, c_own = zip(*[(r, key, coef) for r, (_, _, terms, _) in enumerate(template)
+                                for key, coef in terms])
+    r_var, exprs, c_var = zip(*[(r, expr, coef) for r, (_, _, _, coupled) in enumerate(template)
+                                for expr, coef in coupled])
+    coupled_cols = np.array([expr.cols for expr in exprs])
+    on = coupled_cols >= 0
+    rows = [(first[:, None] + np.array(r_own)).ravel(),
+            (np.array(r_var)[:, None] + first)[on], terminal]
+    cols = [np.array([v[key] for key in k_own]).T.ravel(), coupled_cols[on], v["soc"][ends]]
+    coefs = [np.tile(c_own, blocks), np.broadcast_to(np.array(c_var)[:, None], on.shape)[on],
+             np.ones(len(ends))]
+    lp.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs), rels, rhs)
 
 
 def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
@@ -213,37 +252,40 @@ def build_day_ahead(scenarios: ScenarioSet, tariff: TariffSchedule,
         raise ModelBuildError(f"initial SOC {initial_soc_kwh} outside the ESS bounds")
 
     lp = LinearProgram()
-    schedule = []  # per hour: the grid exchange and the two reserves
-    for t in range(HOURS_PER_DAY):
-        gb = lp.add_var(f"gb[{t}]", 0.0, config.grid_power_cap)
-        gs = lp.add_var(f"gs[{t}]", 0.0, config.grid_power_cap)
-        rd = lp.add_var(f"rd[{t}]", 0.0, config.ess_power_cap)
-        rc = lp.add_var(f"rc[{t}]", 0.0, config.ess_power_cap)
-        ug = lp.add_binary(f"ug[{t}]")
-        price = tariff.price(t)
-        lp.set_objective(gb, price)
-        lp.set_objective(gs, -price)
-        lp.set_objective(rd, -config.reserve_revenue)
-        lp.set_objective(rc, -config.reserve_revenue)
-        # buy/sell exclusivity and reserve gating by the committed mode
-        lp.add_row([(gb, 1.0), (ug, -config.grid_power_cap)], "<=", 0.0)
-        lp.add_row([(gs, 1.0), (ug, config.grid_power_cap)], "<=", config.grid_power_cap)
-        lp.add_row([(rd, 1.0), (ug, config.ess_power_cap)], "<=", config.ess_power_cap)
-        lp.add_row([(rc, 1.0), (ug, -config.ess_power_cap)], "<=", 0.0)
-        schedule.append((([(gb, 1.0), (gs, -1.0)], 0.0), _var(rd), _var(rc)))
+    hours = np.arange(HOURS_PER_DAY)
+    # per hour: the grid exchange, the two reserves and the buy/sell mode
+    grid_cap, ess_cap = config.grid_power_cap, config.ess_power_cap
+    keys = ("gb", "gs", "rd", "rc", "ug")
+    index = lp.add_vars([f"{key}[{t}]" for t in hours for key in keys], 0.0,
+                        np.tile([grid_cap, grid_cap, ess_cap, ess_cap, 1.0], HOURS_PER_DAY),
+                        np.tile([False] * 4 + [True], HOURS_PER_DAY))
+    gb, gs, rd, rc, ug = index.reshape(HOURS_PER_DAY, len(keys)).T
+    price = np.array(tariff.hourly_price)
+    revenue = np.full(HOURS_PER_DAY, -config.reserve_revenue)
+    lp.add_costs(np.concatenate([gb, gs, rd, rc]),
+                 np.concatenate([price, -price, revenue, revenue]))
+    # buy/sell exclusivity and reserve gating by the committed mode, four
+    # rows an hour
+    first = 4 * hours
+    lp.add_rows(np.concatenate([first, first, first + 1, first + 1, first + 2, first + 2,
+                                first + 3, first + 3]),
+                np.concatenate([gb, ug, gs, ug, rd, ug, rc, ug]),
+                np.repeat([1.0, -grid_cap, 1.0, grid_cap, 1.0, ess_cap, 1.0, -ess_cap],
+                          HOURS_PER_DAY),
+                LE, np.tile([0.0, grid_cap, ess_cap, 0.0], HOURS_PER_DAY))
 
-    boundary = {"soc": _const(initial_soc_kwh), "udg": _ZERO, "dg": _ZERO}
-    for s, (profile, prob) in enumerate(zip(scenarios.profiles,
-                                            scenarios.probabilities.tolist())):
-        net_load = (profile.load_kw - profile.pv_kw).tolist()
-        prev = boundary
-        for t, (grid, reserve_down, reserve_up) in enumerate(schedule):
-            v = _add_hour_block(
-                lp, config, f"{s},{t}", prev, prob,
-                reserve_down=reserve_down, reserve_up=reserve_up,
-                net_load=net_load[t], grid=grid)
-            prev = _carried(v)
-        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
+    # scenario s's hour t is block s * 24 + t
+    count = len(scenarios.profiles)
+    t = np.tile(hours, count)
+    blocks = np.arange(count * HOURS_PER_DAY)
+    net_load = np.concatenate([profile.load_kw - profile.pv_kw
+                               for profile in scenarios.profiles])
+    _add_hour_blocks(
+        lp, config, [f"{s},{h}" for s in range(count) for h in hours],
+        np.where(t == 0, -1, blocks - 1), np.repeat(scenarios.probabilities, HOURS_PER_DAY),
+        boundary=(initial_soc_kwh, 0.0, 0.0), net_load=net_load,
+        reserve_down=_var(rd[t]), reserve_up=_var(rc[t]), grid=(_var(gb[t]), _var(gs[t])),
+        ends=blocks[t == HOURS_PER_DAY - 1])
     return lp
 
 
@@ -264,34 +306,30 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
         raise ModelBuildError(f"unknown mode {mode!r}")
     state = context.state
     h0 = context.start_hour
-    committed = [context.commitment.hour(h0 + k) for k in range(context.hours)]
+    commitment = context.commitment
+    buy, sell = commitment.grid_buy_kw[h0:], commitment.grid_sell_kw[h0:]
+    down, up = commitment.reserve_down_kw[h0:], commitment.reserve_up_kw[h0:]
 
     lp = LinearProgram()
-    offset = 0.0
-    for k, ch in enumerate(committed):
-        offset += (tariff.price(h0 + k) * (ch.grid_buy_kw - ch.grid_sell_kw)
-                   - config.reserve_revenue * (ch.reserve_down_kw + ch.reserve_up_kw))
-    lp.objective_offset = offset
+    # summed in hour order; np.sum adds pairwise, which can move the last bit
+    lp.objective_offset = float(np.cumsum(
+        np.array(tariff.hourly_price[h0:]) * (buy - sell)
+        - config.reserve_revenue * (down + up))[-1])
 
-    def hour(label, prev, weight, load, pv, k):
-        ch = committed[k]
-        return _add_hour_block(
-            lp, config, label, prev, weight,
-            reserve_down=_const(ch.reserve_down_kw),
-            reserve_up=_const(ch.reserve_up_kw),
-            net_load=float(load[k] - pv[k] - ch.grid_buy_kw + ch.grid_sell_kw),
-            elastic=elastic)
-
-    boundary = {"soc": _const(state.soc_kwh), "udg": _const(state.dg_on),
-                "dg": _const(state.dg_prev_kw)}
-    # every row holds the same live measurement in slot 0
-    first = hour("0", boundary, 1.0, context.load_kw[0], context.pv_kw[0], 0)
-    for s, (load, pv, prob) in enumerate(zip(context.load_kw, context.pv_kw,
-                                             context.probabilities)):
-        v = first
-        for k in range(1, context.hours):
-            v = hour(f"{s},{k}", _carried(v), prob, load, pv, k)
-        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
+    # block 0 is the first hour, which every row shares; row s's hour k >= 1
+    # is block 1 + s * (hours - 1) + k - 1
+    rows, later = len(context.probabilities), context.hours - 1
+    k = np.concatenate(([0], np.tile(np.arange(1, context.hours), rows)))
+    blocks = np.arange(len(k))
+    net_load = context.load_kw - context.pv_kw - buy + sell
+    _add_hour_blocks(
+        lp, config, ["0"] + [f"{s},{h}" for s in range(rows) for h in range(1, context.hours)],
+        np.where(k == 1, 0, blocks - 1),
+        np.concatenate(([1.0], np.repeat(context.probabilities, later))),
+        boundary=(state.soc_kwh, state.dg_on, state.dg_prev_kw),
+        net_load=np.concatenate((net_load[0, :1], net_load[:, 1:].ravel())),
+        reserve_down=_const(down[k]), reserve_up=_const(up[k]),
+        ends=later * np.arange(1, rows + 1), elastic=elastic)
     return lp
 
 

@@ -136,8 +136,11 @@ class MlpNetwork:
 
     @classmethod
     def load(cls, path) -> "MlpNetwork":
-        with open(path) as fh:
-            payload = json.load(fh)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: weight file holds a JSON {type(payload).__name__}, "
                              f"not an object")

@@ -1,7 +1,11 @@
 """Linear programs and binary MILPs, solved by HiGHS.
 
-The model container is a plain list of finitely-bounded variables, a minimize
-objective, and sparse constraint rows. `solve_milp` runs HiGHS's
+The model container holds finitely-bounded variables, a minimize objective
+and sparse constraint rows as blocks of numpy arrays; model builders append
+whole blocks (`add_vars`, `add_rows`), and tests may still write one
+variable or row at a time. `_Standard` joins the blocks and builds the CSR
+matrix, the CSC arrays HiGHS takes and the row scales of the residual check
+with numpy, so no solve walks the terms in Python. `solve_milp` runs HiGHS's
 branch-and-cut in one session of the `_Highs` class that scipy bundles, with
 a zero relative gap, so an optimal result is proven optimal, not merely near
 it. A model with no binaries is an LP, and HiGHS solves it as one through the
@@ -18,14 +22,13 @@ descriptor pointed at the null device.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy import sparse
 from scipy.optimize._highspy import _core as highs_core
 
 RESIDUAL_TOL = 1e-6      # independent post-solve constraint check
@@ -35,7 +38,6 @@ DEFAULT_NODE_LIMIT = 100_000
 BNB_BINARY_LIMIT = 40
 
 LE, GE, EQ = "<=", ">=", "="
-_RELS = (LE, GE, EQ)
 
 _libc = ctypes.CDLL(None)
 _libc.fflush.argtypes = [ctypes.c_void_p]
@@ -80,19 +82,27 @@ class SolverError(RuntimeError):
 class LinearProgram:
     """A minimize LP/MILP with named, finitely-bounded variables.
 
-    Integrality is restricted to binary variables (bounds [0, 1]); rows are
-    sparse lists of (variable index, coefficient).
+    Integrality is restricted to binary variables (bounds [0, 1]). Variables
+    and rows are kept as blocks of numpy arrays: `add_vars` and `add_rows`
+    append a whole block, and `add_var`, `add_binary` and `add_row` a block
+    of one. `lower`, `upper`, `objective` and `rows` read the blocks back;
+    `rows` and `objective` are built on demand, for tests and traces, and the
+    solver reads the arrays through `_Standard`. `is_binary` stays a list, so
+    an entry can be reassigned.
     """
 
     def __init__(self):
         self.names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
         self.is_binary: list[bool] = []
-        self.objective: dict[int, float] = {}
         self.objective_offset: float = 0.0
-        self.rows: list[tuple[list[tuple[int, float]], str, float]] = []
         self._index: dict[str, int] = {}
+        # each list starts with an empty block, which fixes the dtypes
+        index, value = np.empty(0, dtype=np.int64), np.empty(0)
+        self._bounds = [(value, value)]                # (lower, upper) per variable
+        self._costs = [(index, value)]                 # (index, coefficient)
+        self._terms = [(index, index, value)]          # (row, index, coefficient)
+        self._sides = [(np.empty(0, dtype="<U2"), value)]  # (relation, rhs) per row
+        self._num_rows = 0
 
     @property
     def num_vars(self) -> int:
@@ -100,44 +110,129 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self._num_rows
+
+    def add_vars(self, names: list[str], lower, upper, binary=False) -> np.ndarray:
+        """Declare one variable per name, with its bounds (arrays or scalars)
+        and binary flag; returns their indices."""
+        k = len(names)
+        lower = np.broadcast_to(np.asarray(lower, dtype=float), (k,)).copy()
+        upper = np.broadcast_to(np.asarray(upper, dtype=float), (k,)).copy()
+        first = self.num_vars
+        index = dict(zip(names, range(first, first + k)))
+        if len(index) < k or not self._index.keys().isdisjoint(index):
+            seen = set(self._index)
+            for name in names:
+                if name in seen:
+                    raise SolverError(f"duplicate variable {name!r}")
+                seen.add(name)
+        bad = np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)))
+        if bad.size:
+            raise SolverError(f"variable {names[bad[0]]!r} needs finite bounds")
+        bad = np.flatnonzero(lower > upper)
+        if bad.size:
+            raise SolverError(f"variable {names[bad[0]]!r} has empty bound range")
+        self.names.extend(names)
+        self.is_binary.extend(np.broadcast_to(np.asarray(binary, dtype=bool), (k,)).tolist())
+        self._index.update(index)
+        self._bounds.append((lower, upper))
+        return np.arange(first, first + k)
 
     def add_var(self, name: str, lower: float, upper: float) -> int:
-        if name in self._index:
-            raise SolverError(f"duplicate variable {name!r}")
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise SolverError(f"variable {name!r} needs finite bounds")
-        if lower > upper:
-            raise SolverError(f"variable {name!r} has empty bound range")
-        idx = len(self.names)
-        self.names.append(name)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.is_binary.append(False)
-        self._index[name] = idx
-        return idx
+        return int(self.add_vars([name], lower, upper)[0])
 
     def add_binary(self, name: str) -> int:
-        idx = self.add_var(name, 0.0, 1.0)
-        self.is_binary[idx] = True
-        return idx
+        return int(self.add_vars([name], 0.0, 1.0, binary=True)[0])
 
     def index(self, name: str) -> int:
         return self._index[name]
 
+    def add_costs(self, indices, coefficients) -> None:
+        """Add `coefficients[i]` to the objective coefficient of variable
+        `indices[i]`."""
+        indices = np.asarray(indices, dtype=np.int64)
+        bad = np.flatnonzero((indices < 0) | (indices >= self.num_vars))
+        if bad.size:
+            raise SolverError(f"objective references undeclared variable index {indices[bad[0]]}")
+        self._costs.append((indices, np.broadcast_to(
+            np.asarray(coefficients, dtype=float), indices.shape).copy()))
+
     def set_objective(self, idx: int, coefficient: float) -> None:
         if coefficient:
-            self.objective[idx] = self.objective.get(idx, 0.0) + float(coefficient)
+            self.add_costs([idx], [coefficient])
+
+    def add_rows(self, rows, cols, coefs, rels, rhs) -> np.ndarray:
+        """Append a block of `len(rhs)` rows, each `terms rel rhs`: term `i`
+        is `coefs[i]` times variable `cols[i]` in row `rows[i]` of the block,
+        counted from 0. Terms may come in any order, and repeated (row,
+        variable) terms sum. `rels` is one relation or one per row; returns
+        the rows' indices."""
+        rhs = np.array(rhs, dtype=float).reshape(-1)
+        k = len(rhs)
+        rels = np.broadcast_to(np.asarray(rels), (k,))
+        bad = np.flatnonzero(~((rels == LE) | (rels == GE) | (rels == EQ)))
+        if bad.size:
+            raise SolverError(f"unknown relation {rels.tolist()[bad[0]]!r}")
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.array(coefs, dtype=float)
+        bad = np.flatnonzero((cols < 0) | (cols >= self.num_vars))
+        if bad.size:
+            raise SolverError(f"row references undeclared variable index {cols[bad[0]]}")
+        if ((rows < 0) | (rows >= k)).any() or not (rows.shape == cols.shape == coefs.shape):
+            raise SolverError("row terms do not match the block's rows")
+        first = self._num_rows
+        self._terms.append((rows + first, cols, coefs))
+        self._sides.append((rels.astype("<U2"), rhs))
+        self._num_rows += k
+        return np.arange(first, first + k)
 
     def add_row(self, terms: list[tuple[int, float]], rel: str, rhs: float) -> int:
-        if rel not in _RELS:
-            raise SolverError(f"unknown relation {rel!r}")
-        n = self.num_vars
-        for idx, _ in terms:
-            if not (0 <= idx < n):
-                raise SolverError(f"row references undeclared variable index {idx}")
-        self.rows.append((list(terms), rel, float(rhs)))
-        return len(self.rows) - 1
+        return int(self.add_rows([0] * len(terms), [idx for idx, _ in terms],
+                                 [coef for _, coef in terms], rel, [rhs])[0])
+
+    @property
+    def lower(self) -> np.ndarray:
+        return _joined(self._bounds)[0]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return _joined(self._bounds)[1]
+
+    def _objective_array(self) -> np.ndarray:
+        """The dense objective: each variable's coefficients summed in the
+        order they were added."""
+        indices, coefs = _joined(self._costs)
+        return np.bincount(indices, weights=coefs, minlength=self.num_vars)
+
+    @property
+    def objective(self) -> dict[int, float]:
+        """{variable index: coefficient} of every nonzero objective coefficient."""
+        c = self._objective_array()
+        return {int(i): float(c[i]) for i in np.flatnonzero(c)}
+
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """(row, variable index, coefficient) of every term in the order
+        added, then each row's relation and right-hand side."""
+        return (*_joined(self._terms), *_joined(self._sides))
+
+    @property
+    def rows(self) -> list[tuple[list[tuple[int, float]], str, float]]:
+        """Each row as (terms, relation, rhs), its terms in the order added."""
+        row, col, coef, rels, rhs = self._row_arrays()
+        order = np.argsort(row, kind="stable")
+        bounds = np.searchsorted(row[order], np.arange(self._num_rows + 1)).tolist()
+        terms = list(zip(col[order].tolist(), coef[order].tolist()))
+        return [(terms[a:b], rel, side) for a, b, rel, side
+                in zip(bounds[:-1], bounds[1:], rels.tolist(), rhs.tolist())]
+
+
+def _joined(blocks: list) -> tuple[np.ndarray, ...]:
+    """The blocks' arrays joined field by field. The list is left holding
+    the one joined block, so the next read joins nothing."""
+    if len(blocks) > 1:
+        blocks[:] = [tuple(np.concatenate(field) for field in zip(*blocks))]
+    return blocks[0]
 
 
 @dataclass
@@ -161,8 +256,19 @@ class MilpSolution:
 # standard form
 
 
+class _Csr(NamedTuple):
+    """A sparse matrix in CSR arrays: row `i` holds `data[indptr[i]:indptr[i + 1]]`
+    in the columns `indices[indptr[i]:indptr[i + 1]]`."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 class _Standard:
-    """The model as arrays: objective, bounds and one sparse row matrix. A
+    """The model as arrays: objective, bounds and one sparse row matrix in
+    canonical CSR form (rows in order, each row's columns ascending,
+    repeated terms summed in the order they were added, zeros dropped). A
     non-finite objective coefficient, row coefficient or right-hand side
     raises SolverError naming the variable or the row."""
 
@@ -171,25 +277,28 @@ class _Standard:
         m = model.num_rows
         self.n = n
         self.m = m
-        self.lb = np.array(model.lower, dtype=float)
-        self.ub = np.array(model.upper, dtype=float)
+        self.lb = model.lower
+        self.ub = model.upper
         self.binaries = np.flatnonzero(model.is_binary)
-        self.c = np.zeros(n)
-        for idx, coef in model.objective.items():
-            self.c[idx] = coef
+        self.c = model._objective_array()
         self.offset = model.objective_offset
+        row, col, data, self.rels, self.rhs = model._row_arrays()
 
-        rows_i, cols_i, data = [], [], []
-        for r, (terms, _, _) in enumerate(model.rows):
-            for idx, coef in terms:
-                rows_i.append(r)
-                cols_i.append(idx)
-                data.append(coef)
-        # the constructor sums repeated (row, variable) terms
-        self.rows = sparse.csr_array((data, (rows_i, cols_i)), shape=(m, n))
-        self.rows.eliminate_zeros()
-        self.rels = np.array([rel for _, rel, _ in model.rows], dtype="<U2")
-        self.rhs = np.array([b for _, _, b in model.rows], dtype=float)
+        # indices held in 8 or 16 bits sort by radix, so on every dispatch
+        # model the sorts here and in `columns` are linear in the terms
+        self._index_type = np.min_scalar_type(max(n, m))
+        order = np.lexsort((col.astype(self._index_type), row.astype(self._index_type)))
+        row, col, data = row[order], col[order], data[order]
+        new = np.ones(len(row), dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        if not new.all():
+            data = np.add.reduceat(data, np.flatnonzero(new))
+            row, col = row[new], col[new]
+        kept = data != 0
+        self._row, self._col = row[kept], col[kept]
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self._row, minlength=m), out=indptr[1:])
+        self.rows = _Csr(data[kept], self._col.astype(np.int32), indptr)
 
         bad = np.flatnonzero(~np.isfinite(self.c))
         if bad.size:
@@ -197,9 +306,8 @@ class _Standard:
                 f"variable {model.names[bad[0]]!r} has objective coefficient {self.c[bad[0]]}")
         bad = np.flatnonzero(~np.isfinite(self.rows.data))
         if bad.size:
-            row = int(np.searchsorted(self.rows.indptr, bad[0], side="right")) - 1
-            raise SolverError(f"row {row} has coefficient {self.rows.data[bad[0]]} on "
-                              f"variable {model.names[self.rows.indices[bad[0]]]!r}")
+            raise SolverError(f"row {self._row[bad[0]]} has coefficient {self.rows.data[bad[0]]} "
+                              f"on variable {model.names[self._col[bad[0]]]!r}")
         bad = np.flatnonzero(~np.isfinite(self.rhs))
         if bad.size:
             raise SolverError(f"row {bad[0]} has right-hand side {self.rhs[bad[0]]}")
@@ -207,11 +315,13 @@ class _Standard:
     def columns(self):
         """The row matrix in the CSC arrays HiGHS's `passModel` takes, and
         each row's lower and upper bound."""
-        matrix = sparse.csc_array(self.rows)
+        order = np.argsort(self._col.astype(self._index_type), kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self._col, minlength=self.n), out=indptr[1:])
         row_lb = np.where(self.rels == LE, -np.inf, self.rhs)
         row_ub = np.where(self.rels == GE, np.inf, self.rhs)
-        return (matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32),
-                matrix.data.astype(float), row_lb, row_ub)
+        return (indptr, self._row[order].astype(np.int32), self.rows.data[order],
+                row_lb, row_ub)
 
     def verified(self, x: np.ndarray) -> np.ndarray:
         """`x`, after checking every bound and row, each row scaled by its
@@ -220,8 +330,13 @@ class _Standard:
         worst = max(float(np.max(self.lb - x, initial=0.0)),
                     float(np.max(x - self.ub, initial=0.0)))
         if self.m:
-            scale = np.maximum(abs(self.rows).max(axis=1).toarray().ravel(), 1.0)
-            resid = (self.rows @ x - self.rhs) / scale
+            scale = np.ones(self.m)
+            filled = np.diff(self.rows.indptr) > 0
+            if filled.any():
+                scale[filled] = np.maximum(np.maximum.reduceat(
+                    np.abs(self.rows.data), self.rows.indptr[:-1][filled]), 1.0)
+            product = self.rows.data * x[self.rows.indices]
+            resid = (np.bincount(self._row, weights=product, minlength=self.m) - self.rhs) / scale
             for sel, sign in ((self.rels == LE, 1.0), (self.rels == GE, -1.0)):
                 if sel.any():
                     worst = max(worst, float(np.max(sign * resid[sel], initial=0.0)))

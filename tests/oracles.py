@@ -1,14 +1,29 @@
-"""Independent brute-force oracles and random instance generators for the
-solver tests. Nothing here shares code with `milp.py` beyond the model
-container: LPs are checked by enumerating every basic point, MILPs by
-enumerating every binary assignment and solving the LP left by each with
-scipy's `linprog` on the dense rows."""
+"""Independent brute-force oracles, random instance generators and the
+per-term reference builders for the solver and model tests.
+
+Nothing here shares code with `milp.py` beyond the model container: LPs are
+checked by enumerating every basic point, MILPs by enumerating every binary
+assignment and solving the LP left by each with scipy's `linprog` on the
+dense rows. `reference_day_ahead` and `reference_realtime` write the
+dispatch models one variable and one row at a time through the container's
+scalar calls; `dispatch` writes them as arrays, and the tests require equal
+standard forms.
+"""
 
 from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
 
+from microdispatch.dispatch import (
+    ELASTIC_PENALTY_FACTOR,
+    ELASTIC_SLACK_CAP,
+    FORECAST,
+    PERFECT,
+    STOCHASTIC,
+    ModelBuildError,
+)
+from microdispatch.domain import HOURS_PER_DAY
 from microdispatch.milp import LinearProgram
 
 
@@ -152,3 +167,154 @@ def random_milp(rng, max_binaries=6, max_cont=8, max_rows=8):
         rhs = float(coefs @ mid + rng.normal())
         model.add_row([(j, float(coefs[j])) for j in range(n)], rel, rhs)
     return model
+
+
+# ---------------------------------------------------------------------------
+# per-term reference builders
+
+
+def _var(idx: int):
+    """A variable as a linear expression `(terms, constant)`."""
+    return [(idx, 1.0)], 0.0
+
+
+def _const(value: float):
+    """A constant as a linear expression `(terms, constant)`."""
+    return [], float(value)
+
+
+_ZERO = _const(0.0)
+
+
+def _add_row(lp, terms, rel, rhs, coef, expr, coef2=0.0, expr2=_ZERO):
+    """The row `terms + coef * expr + coef2 * expr2 rel rhs`, with the
+    expressions' constants moved to the right-hand side."""
+    for idx, a in expr[0]:
+        terms.append((idx, coef * a))
+    for idx, a in expr2[0]:
+        terms.append((idx, coef2 * a))
+    lp.add_row(terms, rel, rhs - coef * expr[1] - coef2 * expr2[1])
+
+
+def _add_hour_block(lp, cfg, label, prev, weight, *, reserve_down, reserve_up, net_load,
+                    grid=_ZERO, elastic=False):
+    """One hour's plant variables, costs and 14 rows, one term at a time.
+    Everything the hour couples to is a `(terms, constant)` expression."""
+    v = {
+        "dg": lp.add_var(f"dg[{label}]", 0.0, cfg.dg_power_max),
+        "ch": lp.add_var(f"ch[{label}]", 0.0, cfg.ess_power_cap),
+        "dis": lp.add_var(f"dis[{label}]", 0.0, cfg.ess_power_cap),
+        "uess": lp.add_binary(f"uess[{label}]"),
+        "udg": lp.add_binary(f"udg[{label}]"),
+        "start": lp.add_var(f"start[{label}]", 0.0, 1.0),
+        "stop": lp.add_var(f"stop[{label}]", 0.0, 1.0),
+    }
+    if elastic:
+        v["slack"] = lp.add_var(f"slack[{label}]", 0.0, ELASTIC_SLACK_CAP)
+        lp.set_objective(v["slack"], weight * ELASTIC_PENALTY_FACTOR * cfg.dg_unit_cost)
+    v["soc"] = lp.add_var(f"soc[{label}]", cfg.ess_energy_min, cfg.ess_energy_max)
+    lp.set_objective(v["dg"], weight * cfg.dg_unit_cost)
+    lp.set_objective(v["ch"], weight * cfg.ess_unit_cost)
+    lp.set_objective(v["dis"], weight * cfg.ess_unit_cost)
+
+    dg, ch, dis = v["dg"], v["ch"], v["dis"]
+    uess, udg, start, stop = v["uess"], v["udg"], v["start"], v["stop"]
+    soc = v["soc"]
+
+    balance = [(dis, 1.0), (ch, -1.0), (dg, 1.0)]
+    if elastic:
+        balance.append((v["slack"], 1.0))
+    _add_row(lp, balance, ">=", net_load, 1.0, grid)
+    lp.add_row([(dis, 1.0), (uess, -cfg.ess_power_cap)], "<=", 0.0)
+    lp.add_row([(ch, 1.0), (uess, cfg.ess_power_cap)], "<=", cfg.ess_power_cap)
+    _add_row(lp, [(soc, 1.0), (dis, cfg.eta_discharge), (ch, -cfg.eta_charge)], "=", 0.0,
+             -1.0, prev["soc"])
+    _add_row(lp, [(dis, 1.0), (ch, -1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_down)
+    _add_row(lp, [(dis, -1.0), (ch, 1.0)], "<=", cfg.ess_power_cap, 1.0, reserve_up)
+    lp.add_row([(start, 1.0), (stop, 1.0)], "<=", 1.0)
+    _add_row(lp, [(start, 1.0), (stop, -1.0), (udg, -1.0)], "<=", 0.0, 1.0, prev["udg"])
+    _add_row(lp, [(start, 1.0)], "<=", 1.0, 1.0, prev["udg"])
+    lp.add_row([(start, 1.0), (udg, -1.0)], "<=", 0.0)
+    lp.add_row([(dg, 1.0), (udg, -cfg.dg_power_max)], "<=", 0.0)
+    lp.add_row([(dg, -1.0), (udg, cfg.dg_power_min)], "<=", 0.0)
+    _add_row(lp, [(dg, 1.0), (start, -cfg.dg_startup_ramp)], "<=", 0.0,
+             -1.0, prev["dg"], -cfg.dg_ramp_up, prev["udg"])
+    _add_row(lp, [(dg, -1.0), (udg, -cfg.dg_ramp_down), (stop, -cfg.dg_shutdown_ramp)],
+             "<=", 0.0, 1.0, prev["dg"])
+    return v
+
+
+def _carried(v):
+    return {"soc": _var(v["soc"]), "udg": _var(v["udg"]), "dg": _var(v["dg"])}
+
+
+def reference_day_ahead(scenarios, tariff, initial_soc_kwh, config):
+    """`dispatch.build_day_ahead`, written one term at a time."""
+    if not (config.ess_energy_min <= initial_soc_kwh <= config.ess_energy_max):
+        raise ModelBuildError(f"initial SOC {initial_soc_kwh} outside the ESS bounds")
+    lp = LinearProgram()
+    schedule = []
+    for t in range(HOURS_PER_DAY):
+        gb = lp.add_var(f"gb[{t}]", 0.0, config.grid_power_cap)
+        gs = lp.add_var(f"gs[{t}]", 0.0, config.grid_power_cap)
+        rd = lp.add_var(f"rd[{t}]", 0.0, config.ess_power_cap)
+        rc = lp.add_var(f"rc[{t}]", 0.0, config.ess_power_cap)
+        ug = lp.add_binary(f"ug[{t}]")
+        price = tariff.price(t)
+        lp.set_objective(gb, price)
+        lp.set_objective(gs, -price)
+        lp.set_objective(rd, -config.reserve_revenue)
+        lp.set_objective(rc, -config.reserve_revenue)
+        lp.add_row([(gb, 1.0), (ug, -config.grid_power_cap)], "<=", 0.0)
+        lp.add_row([(gs, 1.0), (ug, config.grid_power_cap)], "<=", config.grid_power_cap)
+        lp.add_row([(rd, 1.0), (ug, config.ess_power_cap)], "<=", config.ess_power_cap)
+        lp.add_row([(rc, 1.0), (ug, -config.ess_power_cap)], "<=", 0.0)
+        schedule.append((([(gb, 1.0), (gs, -1.0)], 0.0), _var(rd), _var(rc)))
+
+    boundary = {"soc": _const(initial_soc_kwh), "udg": _ZERO, "dg": _ZERO}
+    for s, (profile, prob) in enumerate(zip(scenarios.profiles,
+                                            scenarios.probabilities.tolist())):
+        net_load = (profile.load_kw - profile.pv_kw).tolist()
+        prev = boundary
+        for t, (grid, reserve_down, reserve_up) in enumerate(schedule):
+            v = _add_hour_block(lp, config, f"{s},{t}", prev, prob,
+                                reserve_down=reserve_down, reserve_up=reserve_up,
+                                net_load=net_load[t], grid=grid)
+            prev = _carried(v)
+        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
+    return lp
+
+
+def reference_realtime(context, tariff, config, mode, *, elastic=False):
+    """`dispatch.build_realtime`, written one term at a time."""
+    if mode not in (PERFECT, FORECAST, STOCHASTIC):
+        raise ModelBuildError(f"unknown mode {mode!r}")
+    state = context.state
+    h0 = context.start_hour
+    committed = [context.commitment.hour(h0 + k) for k in range(context.hours)]
+
+    lp = LinearProgram()
+    offset = 0.0
+    for k, ch in enumerate(committed):
+        offset += (tariff.price(h0 + k) * (ch.grid_buy_kw - ch.grid_sell_kw)
+                   - config.reserve_revenue * (ch.reserve_down_kw + ch.reserve_up_kw))
+    lp.objective_offset = offset
+
+    def hour(label, prev, weight, load, pv, k):
+        ch = committed[k]
+        return _add_hour_block(
+            lp, config, label, prev, weight,
+            reserve_down=_const(ch.reserve_down_kw), reserve_up=_const(ch.reserve_up_kw),
+            net_load=float(load[k] - pv[k] - ch.grid_buy_kw + ch.grid_sell_kw),
+            elastic=elastic)
+
+    boundary = {"soc": _const(state.soc_kwh), "udg": _const(state.dg_on),
+                "dg": _const(state.dg_prev_kw)}
+    first = hour("0", boundary, 1.0, context.load_kw[0], context.pv_kw[0], 0)
+    for s, (load, pv, prob) in enumerate(zip(context.load_kw, context.pv_kw,
+                                             context.probabilities)):
+        v = first
+        for k in range(1, context.hours):
+            v = hour(f"{s},{k}", _carried(v), prob, load, pv, k)
+        lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
+    return lp

@@ -469,3 +469,69 @@ class TestSimulateCompareValidate:
         err = capsys.readouterr().err
         assert "argument --controllers: expected comma-separated kinds" in err
         assert repr(kinds) in err
+
+
+class TestPathsTheSystemRefuses:
+    """A path the OS refuses is one error line naming it, exit 2."""
+
+    def test_data_that_is_a_directory(self, tmp_path, capsys):
+        assert run(["day-ahead", "--data", str(tmp_path),
+                    "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_day_ahead_out_that_is_a_directory(self, small_year, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert run(["day-ahead", "--data", str(small_year), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{out}'" in err
+        assert list(out.iterdir()) == [] and list(tmp_path.iterdir()) == [out]
+
+    def test_compare_out_that_is_a_file(self, small_year, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken.txt"
+        out.write_text("kept\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a controller ran")
+
+        monkeypatch.setattr(cli, "compare_controllers", no_run)
+        assert run(["compare", "--data", str(small_year), "--controllers", "rule-based",
+                    "--days", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert out.read_text() == "kept\n"
+
+
+class TestUndecodableInputs:
+    """An input file that does not decode is refused with its path."""
+
+    def test_config_that_is_not_json(self, small_year, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("microgrid = 1\n")
+        assert run(["day-ahead", "--data", str(small_year), "--config", str(config),
+                    "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_weights_that_are_not_json(self, small_year, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_bytes(b"\x00\x01 not json")
+        assert run(["simulate", "--data", str(small_year), "--controller", "drl",
+                    "--weights", str(weights), "--days", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {weights}: Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_profiles_that_are_not_utf8(self, small_year, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        raw = small_year.read_bytes()
+        at = raw.index(b"\n") + 1  # the first data row
+        data.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        assert run(["day-ahead", "--data", str(data), "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err

@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from oracles import reference_day_ahead, reference_realtime
 
 from microdispatch.controllers import scenario_window
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
@@ -77,6 +78,9 @@ def assert_same_standard_form(a, b):
         assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(sa.rows, field), getattr(sb.rows, field)), field
+    names = ("indptr", "indices", "data", "row_lb", "row_ub")
+    for field, x, y in zip(names, sa.columns(), sb.columns(), strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
 def stochastic_context(scenarios, hour, load_kw, pv_kw, soc=12500.0, dg_prev=0.0,
@@ -573,3 +577,61 @@ class TestContinuousStartStop:
         assert a.ok and b.ok
         assert a.objective == b.objective
         assert np.array_equal(a.values, b.values)
+
+
+def assert_same_model(model, reference):
+    """`model` hands the solver the arrays of the per-term `reference`, and
+    holds the same terms, zero coefficients included, row by row."""
+    assert_same_standard_form(model, reference)
+    assert model.is_binary == reference.is_binary
+    assert [(sorted(terms), rel, rhs) for terms, rel, rhs in model.rows] == [
+        (sorted(terms), rel, rhs) for terms, rel, rhs in reference.rows]
+
+
+class TestArrayWriter:
+    """`dispatch` writes every model as arrays, `tests/oracles.py` one term
+    at a time; both must give HiGHS the same model."""
+
+    @pytest.mark.parametrize("mode", (PERFECT, FORECAST, STOCHASTIC))
+    @pytest.mark.parametrize("hour", (0, 1, 8, 16, 22, 23))
+    def test_windows_equal_the_reference(self, fitted_inputs, mode, hour):
+        # from a reset state and from a running generator, plain and elastic
+        for soc, dg_prev in ((12500.0, 0.0), (9000.0, 6000.0)):
+            ctx = realtime_context(fitted_inputs, mode, hour, soc, dg_prev)
+            for elastic in (False, True):
+                assert_same_model(build_realtime(ctx, TARIFF, CFG, mode, elastic=elastic),
+                                  reference_realtime(ctx, TARIFF, CFG, mode, elastic=elastic))
+
+    def test_two_row_hour_23_window(self, fitted_inputs):
+        # both rows end at the shared first hour, so its SOC gets two end rows
+        load = np.array([[6100.0], [6100.0]])
+        pv = np.array([[500.0], [500.0]])
+        ctx = RealTimeContext(state=state_at(23, 9000.0, 6000.0), start_hour=23, hours=1,
+                              commitment=fitted_inputs["commitment"], load_kw=load, pv_kw=pv,
+                              probabilities=(0.25, 0.75))
+        for elastic in (False, True):
+            model = build_realtime(ctx, TARIFF, CFG, STOCHASTIC, elastic=elastic)
+            assert model.rows[-2:] == [([(model.index("soc[0]"), 1.0)], ">=",
+                                        CFG.ess_energy_end)] * 2
+            assert_same_model(model, reference_realtime(ctx, TARIFF, CFG, STOCHASTIC,
+                                                        elastic=elastic))
+
+    def test_zero_ramp_coefficient(self, fitted_inputs):
+        # the ramp row keeps its zero term on the previous status, and the
+        # standard form drops it
+        cfg = MicrogridConfig(dg_ramp_up=0.0)
+        for hour in (0, 8):
+            ctx = realtime_context(fitted_inputs, STOCHASTIC, hour, 9000.0, 6000.0)
+            model = build_realtime(ctx, TARIFF, cfg, STOCHASTIC)
+            assert_same_model(model, reference_realtime(ctx, TARIFF, cfg, STOCHASTIC))
+            terms = sum(len(terms) for terms, _, _ in model.rows)
+            assert len(_Standard(model).rows.data) < terms
+        for soc in (2500.0, 20000.0):
+            assert_same_model(build_day_ahead(fitted_inputs["day_ahead"], TARIFF, soc, cfg),
+                              reference_day_ahead(fitted_inputs["day_ahead"], TARIFF, soc, cfg))
+
+    @pytest.mark.parametrize("soc", (2500.0, 12500.0, 20000.0))
+    def test_day_ahead_equals_the_reference(self, fitted_inputs, soc):
+        scenarios = fitted_inputs["day_ahead"]
+        assert_same_model(build_day_ahead(scenarios, TARIFF, soc, CFG),
+                          reference_day_ahead(scenarios, TARIFF, soc, CFG))

@@ -285,6 +285,68 @@ class TestSolveMilp:
             assert a.node_count == b.node_count
 
 
+class TestModelChecks:
+    """`add_vars` and `add_rows` check whole blocks, and a refused block
+    leaves the model as it was."""
+
+    def model(self):
+        lp = LinearProgram()
+        lp.add_vars(["x", "y"], 0.0, [1.0, 2.0])
+        lp.add_rows([0, 0, 1], [0, 1, 1], [1.0, 1.0, 3.0], ["<=", ">="], [1.0, 0.5])
+        return lp
+
+    @pytest.mark.parametrize("names, lower, upper, message", [
+        (["a", "b", "a"], 0.0, 1.0, "duplicate variable 'a'"),
+        (["a", "y"], 0.0, 1.0, "duplicate variable 'y'"),
+        (["a", "b"], [0.0, -np.inf], 1.0, "variable 'b' needs finite bounds"),
+        (["a", "b"], 0.0, [np.nan, 1.0], "variable 'a' needs finite bounds"),
+        (["a", "b"], [0.0, 2.0], 1.0, "variable 'b' has empty bound range"),
+    ], ids=["repeated", "declared", "infinite", "nan", "empty"])
+    def test_refused_variables(self, names, lower, upper, message):
+        lp = self.model()
+        with pytest.raises(SolverError, match=message):
+            lp.add_vars(names, lower, upper)
+        assert lp.names == ["x", "y"] and lp.num_vars == 2 and len(lp.lower) == 2
+
+    @pytest.mark.parametrize("cols, rels, message", [
+        ([0, 2], "<=", "undeclared variable index 2"),
+        ([-1, 0], "<=", "undeclared variable index -1"),
+        ([0, 1], ["<=", "=<"], "unknown relation '=<'"),
+    ], ids=["past-the-end", "negative", "relation"])
+    def test_refused_rows(self, cols, rels, message):
+        lp = self.model()
+        with pytest.raises(SolverError, match=message):
+            lp.add_rows([0, 1], cols, [1.0, 1.0], rels, [0.0, 0.0])
+        assert lp.num_rows == 2 and len(lp.rows) == 2
+
+    def test_terms_outside_the_block_are_refused(self):
+        lp = self.model()
+        with pytest.raises(SolverError, match="do not match the block's rows"):
+            lp.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 0.0])
+        assert lp.num_rows == 2
+
+    def test_refused_costs(self):
+        lp = self.model()
+        with pytest.raises(SolverError, match="undeclared variable index 2"):
+            lp.add_costs([1, 2], [1.0, 1.0])
+        assert lp.objective == {}
+
+    def test_blocks_read_back_as_scalar_calls_write_them(self):
+        lp = self.model()
+        lp.add_costs([1, 0, 1], [2.0, -1.0, 0.5])
+        scalar = LinearProgram()
+        scalar.add_var("x", 0.0, 1.0)
+        scalar.add_var("y", 0.0, 2.0)
+        scalar.add_row([(0, 1.0), (1, 1.0)], "<=", 1.0)
+        scalar.add_row([(1, 3.0)], ">=", 0.5)
+        for idx, coef in ((1, 2.0), (0, -1.0), (1, 0.5)):
+            scalar.set_objective(idx, coef)
+        for field in ("names", "is_binary", "objective", "rows", "num_rows"):
+            assert getattr(lp, field) == getattr(scalar, field), field
+        assert np.array_equal(lp.lower, scalar.lower) and np.array_equal(lp.upper, scalar.upper)
+        assert lp.objective == {0: -1.0, 1: 2.5}
+
+
 def test_counts_are_highs_nodes_and_simplex_iterations(monkeypatch):
     # a perfect hour-0 window: its LP relaxation takes real simplex work
     day = generate_dataset(SyntheticParams(seed=5, days=1))[0]
