@@ -90,15 +90,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path, writer) -> None:
+    """Write `path` through `writer(tmp)` and a rename; an OSError names
+    `path`, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _check_outputs(args, *flags) -> None:
+    """Refuse, before any work, each given output flag whose path is a
+    directory or lies in a directory that does not exist."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"--{flag} {path!r} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"--{flag} {path!r}: no directory {parent!r}")
 
 
 def _load_inputs(args):
@@ -188,6 +207,7 @@ def _build_controller(kind, train, config, args):
 
 
 def cmd_generate(args) -> int:
+    _check_outputs(args, "out")
     params = SyntheticParams(seed=args.seed, days=args.days)
     days = generate_dataset(params)
     _atomic_write(args.out, lambda tmp: write_profiles(days, tmp))
@@ -196,6 +216,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_day_ahead(args) -> int:
+    _check_outputs(args, "out")
     config, tariff, _, _, scenarios = _load_inputs(args)
     soc = config.ess_energy_end if args.soc is None else args.soc
     started = time.perf_counter()
@@ -209,6 +230,7 @@ def cmd_day_ahead(args) -> int:
 
 
 def cmd_train_drl(args) -> int:
+    _check_outputs(args, "out", "curve")
     config, tariff, _, train, scenarios = _load_inputs(args)
     commitment, _ = solve_day_ahead(scenarios, tariff, config.ess_energy_end, config)
     environment = TrainingEnvironment(train, tariff, config, commitment)
@@ -278,6 +300,7 @@ def _controller_run(args, kinds):
 
 
 def cmd_simulate(args) -> int:
+    _check_outputs(args, "out", "trace")
     reports, status = _controller_run(args, [args.controller])()
     if status == EXIT_RUNTIME:
         return status

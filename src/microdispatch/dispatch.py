@@ -333,6 +333,19 @@ def build_realtime(context: RealTimeContext, tariff: TariffSchedule,
     return lp
 
 
+def _binaries(index, rows: int, hours: int) -> np.ndarray:
+    """The indices of `udg[s,k]` and `uess[s,k]` in a real-time model of
+    `rows` profile rows and `hours` >= 2 hours, at `[s, k - 1, 0]` and
+    `[s, k - 1, 1]` for every hour k >= 1; `index` maps a name to its index.
+    `build_realtime` declares its blocks `0`, `0,1`, `0,2`, ... in order,
+    each with the same variables, so block b's variable is b block widths
+    past the first hour's."""
+    first = index("udg[0]")
+    width = index("udg[0,1]") - first
+    blocks = np.arange(1, rows * (hours - 1) + 1).reshape(rows, hours - 1, 1)
+    return first + width * blocks + np.array([0, index("uess[0]") - first])
+
+
 def shifted_start(model: LinearProgram, context: RealTimeContext, plan: MilpSolution,
                   plan_context: RealTimeContext) -> dict[int, float]:
     """A start for the real-time `model` of `context` from the optimal plan
@@ -347,27 +360,24 @@ def shifted_start(model: LinearProgram, context: RealTimeContext, plan: MilpSolu
     same clock hours equal its own from its second hour on; the first hour is
     the live measurement, which no earlier row holds. The start takes the
     binaries `udg` and `uess` of the plan row's hour k + shift as hour k, for
-    every k >= 1. The first hour, which all rows share, is left to the
-    solver, as are the continuous values. A row without a pair gets nothing,
-    as a forecast row does once the forecaster re-scales, or a perfect row
-    on another day.
+    every k >= 1, in the order row, hour, then `udg` before `uess`. The first
+    hour, which all rows share, is left to the solver, as are the continuous
+    values. A row without a pair gets nothing, as a forecast row does once
+    the forecaster re-scales, or a perfect row on another day.
     """
     shift = context.start_hour - plan_context.start_hour
-    if shift < 0:
+    if shift < 0 or context.hours == 1:
         return {}
-    start: dict[int, float] = {}
-    plan_rows = list(zip(plan_context.load_kw, plan_context.pv_kw))
-    for s, (load, pv) in enumerate(zip(context.load_kw, context.pv_kw)):
-        paired = next((p for p, (old_load, old_pv) in enumerate(plan_rows)
-                       if np.array_equal(load[1:], old_load[shift + 1:])
-                       and np.array_equal(pv[1:], old_pv[shift + 1:])), None)
-        if paired is None:
-            continue
-        for k in range(1, len(load)):
-            for key in ("udg", "uess"):
-                start[model.index(f"{key}[{s},{k}]")] = plan.value(
-                    f"{key}[{paired},{k + shift}]")
-    return start
+    load, pv = context.load_kw[:, None, 1:], context.pv_kw[:, None, 1:]
+    same = ((load == plan_context.load_kw[None, :, shift + 1:])
+            & (pv == plan_context.pv_kw[None, :, shift + 1:])).all(axis=2)
+    rows = np.flatnonzero(same.any(axis=1))
+    if not len(rows):
+        return {}
+    cols = _binaries(model.index, len(context.load_kw), context.hours)[rows]
+    plan_cols = _binaries(plan.columns.__getitem__, len(plan_context.load_kw),
+                          plan_context.hours)[same.argmax(axis=1)[rows], shift:]
+    return dict(zip(cols.ravel().tolist(), plan.values[plan_cols.ravel()].tolist()))
 
 
 def extract_commitment(solution: MilpSolution) -> Commitment:

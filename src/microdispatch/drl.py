@@ -13,6 +13,20 @@ format version, arrays that do not form a network, and weights whose shapes
 disagree with the declared layer sizes. The observation scales are module
 constants, not part of the file.
 
+The target network is frozen between syncs, so the replay buffer keeps each
+slot's bootstrap value, max_a Q_target(next state), rather than running the
+target network over every sampled batch. A push drops its slot's value and
+a target sync drops every value. When a sampled slot has none,
+`ReplayBuffer.sample` fills every filled slot that lacks one, through the
+target network in chunks of 2 to `BATCH_SIZE` rows, so a fill keeps no more
+activations alive than one training batch does. The rows of a batched
+forward do not depend on which other rows share the batch once it has two
+or more; a one-row product takes another BLAS path and can round
+differently, so a lone pending slot is forwarded with a duplicate of
+itself. The values are then those the target network gives a whole sampled
+batch, and training is bit for bit the run that forwards every batch
+(`tests/oracles.py` keeps that loop).
+
 Training runs its matrix products on one BLAS thread. At batch 64 the
 64x128x128 products lie above OpenBLAS's threading threshold, and handing
 them to a second thread costs more than it saves. `train_agent` sets
@@ -70,6 +84,10 @@ class DqnConfig:
     def __post_init__(self):
         if self.action_count < 2:
             raise ValueError("need at least two actions")
+        for name in ("episodes", "epsilon_decay_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"DqnConfig.{name} must be at least 0, got {value}")
 
 
 class MlpNetwork:
@@ -209,23 +227,23 @@ def reward(step_cost: float, blackout: bool, config: MicrogridConfig) -> float:
             - config.drl_blackout_weight * (1.0 if blackout else 0.0))
 
 
-def train_step(network: MlpNetwork, target: MlpNetwork,
+def train_step(network: MlpNetwork,
                batch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
                target_bound: float) -> float:
     """One SGD step on the squared TD error of a batch; returns the loss.
 
-    `batch` is `(states, actions, rewards, next_states)`, one row per
-    transition. Every target bootstraps through the target network: the
+    `batch` is `(states, actions, rewards, next_values)`, one row per
+    transition; `next_values` holds max_a Q_target(next state), which
+    `ReplayBuffer.sample` supplies. Every target bootstraps through it: the
     plant has no terminal state. Any TD target outside +-`target_bound`
     (the geometric envelope max|reward|/(1-discount) in training) aborts
     training as divergence. The network is updated in place.
     """
-    states, actions, rewards, next_states = batch
+    states, actions, rewards, next_values = batch
     if len(actions) == 0:
         raise ValueError("empty batch")
 
-    next_q = target.forward_batch(next_states)[-1]
-    targets = rewards + DISCOUNT * next_q.max(axis=1)
+    targets = rewards + DISCOUNT * next_values
     if np.abs(targets).max() > target_bound:
         raise FloatingPointError(
             f"TD target escaped the reward envelope +-{target_bound:.1f}; "
@@ -260,17 +278,30 @@ def train_step(network: MlpNetwork, target: MlpNetwork,
 class ReplayBuffer:
     """FIFO replay in preallocated arrays: slot i holds push i mod capacity.
 
-    The arrays are left uninitialised, so memory is touched only as rows
-    are written.
+    The buffer owns the target network, which starts as a copy of the
+    network it is made for and changes only through `sync_target`, and the
+    slots' bootstrap values under it (see the module docstring). The arrays
+    are left uninitialised, so memory is touched only as rows are written.
     """
 
-    def __init__(self, capacity: int, dimension: int):
+    def __init__(self, capacity: int, network: MlpNetwork):
+        dimension = network.layer_sizes[0]
         self.capacity = capacity
         self.states = np.empty((capacity, dimension))
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity)
         self.next_states = np.empty((capacity, dimension))
+        #: max_a Q_target(next_states[i]), meaningful where `valued[i]`
+        self.next_values = np.empty(capacity)
+        self.valued = np.zeros(capacity, dtype=bool)
         self.pushes = 0
+        self.sync_target(network)
+
+    def sync_target(self, network: MlpNetwork) -> None:
+        """Freeze a copy of `network` as the target network; every slot's
+        value is dropped."""
+        self.target = network.copy()
+        self.valued[:len(self)] = False
 
     def push(self, state: np.ndarray, action: int, reward: float,
              next_state: np.ndarray) -> None:
@@ -279,13 +310,27 @@ class ReplayBuffer:
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_states[i] = next_state
+        self.valued[i] = False
         self.pushes += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """`(states, actions, rewards, next_states)` of `batch_size` rows
+        """`(states, actions, rewards, next_values)` of `batch_size` rows
         drawn uniformly, with replacement, from the filled slots."""
         idx = rng.integers(0, len(self), size=batch_size)
-        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
+        if not self.valued[idx].all():
+            self._fill_values()
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_values[idx]
+
+    def _fill_values(self) -> None:
+        """Value every filled slot that has no value, at most `BATCH_SIZE`
+        rows and never one row per forward."""
+        pending = np.flatnonzero(~self.valued[:len(self)])
+        if len(pending) == 1:
+            pending = np.repeat(pending, 2)
+        for chunk in np.array_split(pending, -(-len(pending) // BATCH_SIZE)):
+            q = self.target.forward_batch(self.next_states[chunk])[-1]
+            self.next_values[chunk] = q.max(axis=1)
+        self.valued[pending] = True
 
     def __len__(self):
         return min(self.pushes, self.capacity)
@@ -360,8 +405,7 @@ def train_agent(environment: TrainingEnvironment,
     rng = np.random.default_rng(config.seed)
     sizes = [STATE_DIMENSION, *HIDDEN_LAYERS, config.action_count]
     network = MlpNetwork.initialize(sizes, rng)
-    target = network.copy()
-    replay = ReplayBuffer(REPLAY_CAPACITY, STATE_DIMENSION)
+    replay = ReplayBuffer(REPLAY_CAPACITY, network)
 
     episodes = config.episodes
     if episodes is None:
@@ -391,10 +435,9 @@ def train_agent(environment: TrainingEnvironment,
                 obs = next_obs
                 step_count += 1
                 if len(replay) >= BATCH_SIZE:
-                    train_step(network, target, replay.sample(BATCH_SIZE, rng),
-                               divergence_bound)
+                    train_step(network, replay.sample(BATCH_SIZE, rng), divergence_bound)
                 if step_count % TARGET_SYNC_INTERVAL == 0:
-                    target = network.copy()
+                    replay.sync_target(network)
             curve.append(episode_reward)
     return network, curve
 

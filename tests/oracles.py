@@ -1,5 +1,6 @@
 """Independent brute-force oracles, random instance generators and the
-per-term reference builders for the solver and model tests.
+per-term reference builders for the solver and model tests, and the
+reference DQN training loop.
 
 Nothing here shares code with `milp.py` beyond the model container: LPs are
 checked by enumerating every basic point, MILPs by enumerating every binary
@@ -7,7 +8,11 @@ assignment and solving the LP left by each with scipy's `linprog` on the
 dense rows. `reference_day_ahead` and `reference_realtime` write the
 dispatch models one variable and one row at a time through the container's
 scalar calls; `dispatch` writes them as arrays, and the tests require equal
-standard forms.
+standard forms. `reference_shifted_start` builds a warm start by name, one
+variable at a time; `dispatch.shifted_start` builds it from index arrays,
+and the tests require equal dicts. `reference_train_agent` runs the target
+network over every sampled batch; `drl` keeps per-slot target values, and
+the tests require bit-identical weights and curves.
 """
 
 from itertools import combinations, product
@@ -15,6 +20,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import linprog
 
+import microdispatch.drl as drl
 from microdispatch.dispatch import (
     ELASTIC_PENALTY_FACTOR,
     ELASTIC_SLACK_CAP,
@@ -318,3 +324,74 @@ def reference_realtime(context, tariff, config, mode, *, elastic=False):
             v = hour(f"{s},{k}", _carried(v), prob, load, pv, k)
         lp.add_row([(v["soc"], 1.0)], ">=", config.ess_energy_end)
     return lp
+
+
+# ---------------------------------------------------------------------------
+# warm start by name
+
+
+def reference_shifted_start(model, context, plan, plan_context):
+    """`dispatch.shifted_start`, looking up two names per later hour and row."""
+    shift = context.start_hour - plan_context.start_hour
+    if shift < 0:
+        return {}
+    start = {}
+    plan_rows = list(zip(plan_context.load_kw, plan_context.pv_kw))
+    for s, (load, pv) in enumerate(zip(context.load_kw, context.pv_kw)):
+        paired = next((p for p, (old_load, old_pv) in enumerate(plan_rows)
+                       if np.array_equal(load[1:], old_load[shift + 1:])
+                       and np.array_equal(pv[1:], old_pv[shift + 1:])), None)
+        if paired is None:
+            continue
+        for k in range(1, len(load)):
+            for key in ("udg", "uess"):
+                start[model.index(f"{key}[{s},{k}]")] = plan.value(
+                    f"{key}[{paired},{k + shift}]")
+    return start
+
+
+# ---------------------------------------------------------------------------
+# DQN training without per-slot target values
+
+
+def reference_train_agent(environment, config):
+    """`drl.train_agent` as it ran before the replay kept target values:
+    every training step runs the target network over its sampled next
+    states. The module constants are read at call time, so a test that
+    patches them patches both loops."""
+    rng = np.random.default_rng(config.seed)
+    sizes = [drl.STATE_DIMENSION, *drl.HIDDEN_LAYERS, config.action_count]
+    network = drl.MlpNetwork.initialize(sizes, rng)
+    target = network.copy()
+    capacity, dimension = drl.REPLAY_CAPACITY, drl.STATE_DIMENSION
+    states, next_states = np.empty((capacity, dimension)), np.empty((capacity, dimension))
+    actions, rewards = np.empty(capacity, dtype=np.int64), np.empty(capacity)
+    episodes = len(environment.days) if config.episodes is None else config.episodes
+    curve, pushes = [], 0
+    bound = environment.reward_magnitude_bound() / (1.0 - drl.DISCOUNT)
+    obs = environment.observe()
+    for _ in range(episodes):
+        episode_reward = 0.0
+        day_finished = False
+        while not day_finished:
+            if rng.random() < drl._epsilon(pushes, config):
+                action = int(rng.integers(config.action_count))
+            else:
+                action = int(np.argmax(drl.forward(network, obs)))
+            step_reward, day_finished = environment.step(action)
+            episode_reward += step_reward
+            next_obs = environment.observe()
+            i = pushes % capacity
+            states[i], actions[i], rewards[i], next_states[i] = (obs, action, step_reward,
+                                                                 next_obs)
+            obs = next_obs
+            pushes += 1
+            if min(pushes, capacity) >= drl.BATCH_SIZE:
+                idx = rng.integers(0, min(pushes, capacity), size=drl.BATCH_SIZE)
+                next_q = target.forward_batch(next_states[idx])[-1]
+                batch = (states[idx], actions[idx], rewards[idx], next_q.max(axis=1))
+                drl.train_step(network, batch, bound)
+            if pushes % drl.TARGET_SYNC_INTERVAL == 0:
+                target = network.copy()
+        curve.append(episode_reward)
+    return network, curve

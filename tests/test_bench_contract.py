@@ -109,7 +109,10 @@ def test_traced_day_ahead_and_stochastic_decisions(tracer):
     assert metrics["controllers.decide_self_ms_p50.mpc-stochastic"] > 0
 
 
-def test_traced_training_round(tracer):
+def test_traced_training_round(tracer, monkeypatch):
+    # syncs at steps 65 and 70 fall between training steps, so the run
+    # refills the replay's target values inside `drl.replay_sample`
+    monkeypatch.setattr(drl, "TARGET_SYNC_INTERVAL", 5)
     days = generate_dataset(SyntheticParams(seed=0, days=3))
     tracer.phase = "timed"
     environment = workloads.TimedEnvironment(days, TARIFF, CFG, Commitment.zero())

@@ -507,6 +507,58 @@ class TestPathsTheSystemRefuses:
         assert out.read_text() == "kept\n"
 
 
+class TestOutputsCheckedFirst:
+    """Each command refuses an output path that is a directory, or whose
+    directory does not exist, before it reads the data: one error line naming
+    the flag and the path, exit 2, no file written."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the outputs were checked")
+
+        for name in ("read_profiles", "generate_dataset", "solve_day_ahead", "train_agent",
+                     "compare_controllers"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def refused(self, capsys, argv, flag, path):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} '{path}'") and err.count("\n") == 1
+
+    def test_generate(self, tmp_path, capsys, no_work):
+        self.refused(capsys, ["generate", "--days", "2", "-o", str(tmp_path)], "--out",
+                     tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_day_ahead(self, small_year, tmp_path, capsys, no_work):
+        out = tmp_path / "missing" / "c.json"
+        self.refused(capsys, ["day-ahead", "--data", str(small_year), "--out", str(out)],
+                     "--out", out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_drl(self, small_year, tmp_path, capsys, no_work):
+        curve = tmp_path / "taken"
+        curve.mkdir()
+        self.refused(capsys, ["train-drl", "--data", str(small_year), "--episodes", "2",
+                              "--out", str(tmp_path / "w.json"), "--curve", str(curve)],
+                     "--curve", curve)
+        assert list(tmp_path.iterdir()) == [curve] and list(curve.iterdir()) == []
+
+    def test_simulate(self, small_year, tmp_path, capsys, no_work):
+        trace = tmp_path / "missing" / "t.csv"
+        self.refused(capsys, ["simulate", "--data", str(small_year), "--controller",
+                              "rule-based", "--days", "1", "--out", str(tmp_path / "r.json"),
+                              "--trace", str(trace)], "--trace", trace)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_names_the_destination(self, tmp_path):
+        with pytest.raises(OSError) as exc_info:
+            cli._atomic_write(str(tmp_path), lambda tmp: open(tmp, "w").close())
+        assert str(exc_info.value) == f"cannot write {tmp_path}: Is a directory"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUndecodableInputs:
     """An input file that does not decode is refused with its path."""
 

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import reference_day_ahead, reference_realtime
+from oracles import reference_day_ahead, reference_realtime, reference_shifted_start
 
 from microdispatch.controllers import scenario_window
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
@@ -18,6 +18,7 @@ from microdispatch.dispatch import (
     build_realtime,
     extract_commitment,
     extract_setpoint,
+    shifted_start,
     solve_day_ahead,
 )
 from microdispatch.domain import (
@@ -635,3 +636,38 @@ class TestArrayWriter:
         scenarios = fitted_inputs["day_ahead"]
         assert_same_model(build_day_ahead(scenarios, TARIFF, soc, CFG),
                           reference_day_ahead(scenarios, TARIFF, soc, CFG))
+
+
+class TestShiftedStart:
+    """`shifted_start` reads the start from index arrays, the reference by
+    name; they must give the same dict, insertion order included."""
+
+    @pytest.mark.parametrize("mode", (PERFECT, FORECAST, STOCHASTIC))
+    def test_starts_equal_the_reference(self, fitted_inputs, mode):
+        rng = np.random.default_rng(3)
+        paired = 0
+        for plan_hour in (0, 12, 21, 22):
+            plan_context = realtime_context(fitted_inputs, mode, plan_hour)
+            for plan_elastic in (False, True):
+                plan_model = build_realtime(plan_context, TARIFF, CFG, mode,
+                                            elastic=plan_elastic)
+                # distinct values, so a start read from the wrong variable shows
+                plan = MilpSolution(status=SolveStatus.OPTIMAL, objective=0.0,
+                                    values=rng.random(plan_model.num_vars),
+                                    columns={name: i for i, name in enumerate(plan_model.names)})
+                # shifts 0, 1 and 2, and a window that begins before the plan
+                for hour in {plan_hour, plan_hour + 1, min(plan_hour + 2, 23), plan_hour - 1}:
+                    if hour < 0:
+                        continue
+                    context = realtime_context(fitted_inputs, mode, hour, 9000.0, 6000.0)
+                    for elastic in (False, True):
+                        model = build_realtime(context, TARIFF, CFG, mode, elastic=elastic)
+                        start = shifted_start(model, context, plan, plan_context)
+                        reference = reference_shifted_start(model, context, plan, plan_context)
+                        assert list(start.items()) == list(reference.items()), (plan_hour, hour)
+                        assert all(type(k) is int and type(v) is float
+                                   for k, v in start.items())
+                        paired += bool(start)
+        # forecast windows pair at shift 0 only: an unobserved forecaster
+        # repeats its profile for the same hour
+        assert paired == {PERFECT: 36, FORECAST: 16, STOCHASTIC: 36}[mode]

@@ -1,11 +1,13 @@
 import ctypes
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import microdispatch.drl as drl
+from oracles import reference_train_agent
 
 from microdispatch.domain import (
     Commitment,
@@ -145,6 +147,13 @@ def zero_network(sizes):
                       [np.zeros(b) for b in sizes[1:]])
 
 
+def bootstrapped(target, batch):
+    """`batch` with its next states replaced by their target values, as
+    `ReplayBuffer.sample` hands them to `train_step`."""
+    states, actions, rewards, next_states = batch
+    return states, actions, rewards, target.forward_batch(next_states)[-1].max(axis=1)
+
+
 def loss_oracle(network, target_net, batch, discount):
     """Straight-line TD loss recomputation, one row at a time, no shared code
     with train_step."""
@@ -182,7 +191,7 @@ class TestTrainStep:
             batch = self.random_batch(rng, sizes[0], sizes[-1])
             before = [w.copy() for w in net.weights]
             bias_before = [b.copy() for b in net.biases]
-            train_step(net, target, batch, np.inf)
+            train_step(net, bootstrapped(target, batch), np.inf)
             # the update is the gradient times the learning rate
             grads_w = [(b - a) / LEARNING_RATE for b, a in zip(before, net.weights)]
             grads_b = [(b - a) / LEARNING_RATE for b, a in zip(bias_before, net.biases)]
@@ -223,7 +232,7 @@ class TestTrainStep:
         states, actions, rewards, _ = batch
         expected = np.mean([(forward(net, s)[a] - r) ** 2
                             for s, a, r in zip(states, actions, rewards)])
-        loss = train_step(net, zero_network(sizes), batch, np.inf)
+        loss = train_step(net, bootstrapped(zero_network(sizes), batch), np.inf)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_single_parameter_closed_form(self):
@@ -231,7 +240,7 @@ class TestTrainStep:
         w0, x, r = 1.5, 2.0, 0.25
         net = MlpNetwork([np.array([[w0]])], [np.array([0.0])])
         batch = (np.array([[x]]), np.array([0]), np.array([r]), np.array([[x]]))
-        train_step(net, zero_network([1, 1]), batch, np.inf)
+        train_step(net, bootstrapped(zero_network([1, 1]), batch), np.inf)
         expected = w0 - LEARNING_RATE * 2 * (w0 * x - r) * x
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -242,12 +251,33 @@ class TestTrainStep:
         batch = (np.array([[0.5, 0.5]]), np.array([0]), np.array([-1e9]),
                  np.array([[0.5, 0.5]]))
         with pytest.raises(FloatingPointError):
-            train_step(net, target, batch, target_bound=100.0)
+            train_step(net, bootstrapped(target, batch), target_bound=100.0)
+
+
+def doubling_network():
+    """One input, two actions valued x and 2x: a next state x >= 0 is worth 2x."""
+    return MlpNetwork([np.array([[1.0, 2.0]])], [np.zeros(2)])
+
+
+@contextmanager
+def recorded_forwards():
+    """The (network, rows) of every `forward_batch` call inside the block."""
+    calls = []
+    inner = MlpNetwork.forward_batch
+
+    def recording(self, x):
+        calls.append((self, len(x)))
+        return inner(self, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MlpNetwork, "forward_batch", recording)
+        yield calls
 
 
 class TestReplayBuffer:
     def test_wrap_around_keeps_fifo_slots(self):
-        replay = ReplayBuffer(capacity=3, dimension=2)
+        replay = ReplayBuffer(capacity=3, network=MlpNetwork.initialize(
+            [2, 3], np.random.default_rng(0)))
         for push in range(5):
             replay.push(np.full(2, push), push, -push, np.full(2, push + 0.5))
         assert len(replay) == 3
@@ -258,14 +288,72 @@ class TestReplayBuffer:
         assert replay.next_states[:, 0].tolist() == [3.5, 4.5, 2.5]
 
     def test_sample_draws_only_filled_rows(self):
-        replay = ReplayBuffer(capacity=10, dimension=1)
+        replay = ReplayBuffer(capacity=10, network=doubling_network())
         for push in range(3):
             replay.push(np.array([push]), push, float(push), np.array([push + 1]))
-        states, actions, rewards, next_states = replay.sample(200, np.random.default_rng(4))
+        states, actions, rewards, next_values = replay.sample(200, np.random.default_rng(4))
         assert set(actions.tolist()) == {0, 1, 2}
         assert np.array_equal(states[:, 0], actions)
         assert np.array_equal(rewards, actions)
-        assert np.array_equal(next_states[:, 0], actions + 1)
+        assert np.array_equal(next_values, 2 * (actions + 1))
+
+    def test_values_follow_pushes_and_syncs(self):
+        network = doubling_network()
+        replay = ReplayBuffer(capacity=3, network=network)
+        rng = np.random.default_rng(0)
+
+        def values():
+            _, actions, _, next_values = replay.sample(100, rng)
+            return {int(a): float(v) for a, v in zip(actions, next_values)}
+
+        for push in range(3):
+            replay.push(np.zeros(1), push, 0.0, np.array([push + 1.0]))
+        assert values() == {0: 2.0, 1: 4.0, 2: 6.0}
+        # the target is a copy: training the network changes no value
+        network.weights[0] *= 10.0
+        assert values() == {0: 2.0, 1: 4.0, 2: 6.0}
+        # a push drops its slot's value, a sync every value
+        replay.push(np.zeros(1), 3, 0.0, np.array([5.0]))
+        assert values() == {3: 10.0, 1: 4.0, 2: 6.0}
+        replay.sync_target(network)
+        assert values() == {3: 100.0, 1: 40.0, 2: 60.0}
+
+    def test_a_fill_forwards_two_to_batch_size_rows(self):
+        """The rows of a fill are those of a whole sampled batch only if no
+        forward runs one row (see TestForwardRows)."""
+        replay = ReplayBuffer(capacity=200, network=doubling_network())
+        rng = np.random.default_rng(1)
+        with recorded_forwards() as calls:
+            replay.push(np.zeros(1), 0, 0.0, np.ones(1))
+            replay.sample(1, rng)
+            for push in range(1, 130):
+                replay.push(np.zeros(1), push, 0.0, np.ones(1))
+            replay.sample(1, rng)
+        # one pending slot goes with a duplicate; 129 split 43, 43, 43
+        assert [rows for _, rows in calls] == [2, 43, 43, 43]
+        assert replay.valued[:130].all()
+
+
+class TestForwardRows:
+    """Per-slot target values equal the rows of a whole sampled batch only
+    while a row of `forward_batch` does not depend on the rows beside it.
+    numpy's OpenBLAS keeps that for every batch of two or more rows; a
+    one-row batch takes another BLAS path and may round differently, which
+    is why no fill forwards one row. A BLAS that breaks the invariance
+    fails here, before training results drift."""
+
+    @pytest.mark.parametrize("rows", [2, 3, 63, 64])
+    def test_a_row_is_the_same_in_a_larger_batch(self, rows):
+        sizes = [drl.STATE_DIMENSION, *drl.HIDDEN_LAYERS, 40]
+        with drl._one_blas_thread():
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                network = MlpNetwork.initialize(sizes, rng)
+                x = rng.uniform(-0.2, 1.2, size=(300, drl.STATE_DIMENSION))
+                whole = network.forward_batch(x)[-1]
+                for first in (0, 137, 300 - rows):
+                    part = network.forward_batch(x[first:first + rows])[-1]
+                    assert np.array_equal(part, whole[first:first + rows]), (seed, first)
 
 
 def tiny_environment(days=4, load=7000.0):
@@ -305,6 +393,11 @@ class TestTrainAgent:
         with pytest.raises(ValueError, match=f"{action_count}.*40"):
             train_agent(tiny_environment(), config)
 
+    @pytest.mark.parametrize("field", ["episodes", "epsilon_decay_steps"])
+    def test_negative_counts_are_refused(self, field):
+        with pytest.raises(ValueError, match=f"DqnConfig.{field} must be at least 0, got -3"):
+            DqnConfig(**{field: -3})
+
     def test_seeded_determinism(self):
         # 4 episodes: 96 steps, so 33 training steps at batch 64
         config = DqnConfig(episodes=4, seed=11, epsilon_decay_steps=40)
@@ -313,6 +406,47 @@ class TestTrainAgent:
         assert c1 == c2
         for a, b in zip(n1.weights, n2.weights):
             assert np.array_equal(a, b)
+
+
+def forwarded_rows(run):
+    """`run()`'s (network, curve), and the rows it forwarded through networks
+    other than the one it returns: the target networks."""
+    with recorded_forwards() as calls:
+        network, curve = run()
+    return network, curve, sum(rows for net, rows in calls if net is not network)
+
+
+class TestPerSlotTargetValues:
+    """Training with per-slot target values is bit for bit the loop that runs
+    the target network over every sampled batch."""
+
+    @pytest.mark.parametrize("capacity, batch", [(80, 64), (50, 16)])
+    def test_weights_and_curve_equal_the_reference(self, monkeypatch, capacity, batch):
+        # syncs every 7 steps, FIFO overwrites after `capacity` pushes, and
+        # one-slot fills after most pushes, within 5 episodes
+        monkeypatch.setattr(drl, "TARGET_SYNC_INTERVAL", 7)
+        monkeypatch.setattr(drl, "REPLAY_CAPACITY", capacity)
+        monkeypatch.setattr(drl, "BATCH_SIZE", batch)
+        config = DqnConfig(episodes=5, seed=2, epsilon_decay_steps=60)
+        network, curve, rows = forwarded_rows(
+            lambda: train_agent(tiny_environment(), config))
+        want, want_curve, want_rows = forwarded_rows(
+            lambda: reference_train_agent(tiny_environment(), config))
+        assert curve == want_curve
+        assert weights_sha256(network) == weights_sha256(want)
+        assert rows < want_rows
+
+    def test_target_rows_forwarded(self, monkeypatch):
+        """The target-network work of a small run, as an exact count: 4
+        episodes, 33 training steps of 64 rows, a sync every 24 steps."""
+        monkeypatch.setattr(drl, "TARGET_SYNC_INTERVAL", 24)
+        config = DqnConfig(episodes=4, seed=11, epsilon_decay_steps=40)
+        *_, rows = forwarded_rows(
+            lambda: train_agent(tiny_environment(), config))
+        *_, reference_rows = forwarded_rows(
+            lambda: reference_train_agent(tiny_environment(), config))
+        assert reference_rows == 33 * 64
+        assert rows == 180
 
 
 #: a 3-episode seed-7 run of the default network at batch 64, recorded before
