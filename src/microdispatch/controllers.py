@@ -52,7 +52,7 @@ from microdispatch.domain import (
     step_plant,
 )
 from microdispatch.forecasting import LoadPvForecaster
-from microdispatch.milp import MilpSolution, SolveStatus, solve_milp
+from microdispatch.milp import MilpSolution, SolverError, SolveStatus, solve_milp
 from microdispatch.scenarios import ScenarioSet
 
 RULE_BASED = "rule-based"
@@ -392,8 +392,9 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
     solve) and fixes the day's commitment; each hour the controller decides
     and the plant realizes. With `reset_soc_kwh` set, the battery state is
     forced to that value and the generator switched off at every midnight;
-    without it both carry over. A fatal controller error is re-raised as a
-    ControllerError that names the controller, day and hour.
+    without it both carry over. A controller, extraction or solver error in
+    `decide` is re-raised as a ControllerError that names the controller,
+    day and hour.
 
     The run drives a shallow copy of `controller`, so whatever state the
     controller reassigns from hour to hour, an MPC controller's forecaster
@@ -433,7 +434,7 @@ def run_simulation(controller, days, tariff: TariffSchedule, config: MicrogridCo
             began = time.perf_counter()
             try:
                 setpoint = controller.decide(state, day, commitment, tariff, config)
-            except (ControllerError, ExtractionError) as exc:
+            except (ControllerError, ExtractionError, SolverError) as exc:
                 raise ControllerError(f"{report.controller} failed at day {day_index} "
                                       f"hour {hour}: {exc}") from exc
             elapsed = time.perf_counter() - began

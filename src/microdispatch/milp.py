@@ -3,14 +3,14 @@
 The model container holds finitely-bounded variables, a minimize objective
 and sparse constraint rows as blocks of numpy arrays; model builders append
 whole blocks (`add_vars`, `add_rows`), and tests may still write one
-variable or row at a time. `_Standard` joins the blocks and builds the CSR
-matrix, the CSC arrays HiGHS takes and the row scales of the residual check
-with numpy, so no solve walks the terms in Python. `solve_milp` runs HiGHS's
-branch-and-cut in one session of the `_Highs` class that scipy bundles, with
-a zero relative gap, so an optimal result is proven optimal, not merely near
-it. A model with no binaries is an LP, and HiGHS solves it as one through the
-same call. HiGHS is deterministic for a given model and start, so identical
-calls give identical results bit for bit.
+variable or row at a time. `_Standard` joins the blocks and builds, with
+numpy, the one CSR matrix and row bounds that HiGHS takes row-wise and the
+residual check reads, so no solve walks the terms in Python. `solve_milp`
+runs HiGHS's branch-and-cut in one session of the `_Highs` class that scipy
+bundles, with a zero relative gap, so an optimal result is proven optimal,
+not merely near it. A model with no binaries is an LP, and HiGHS solves it
+as one through the same call. HiGHS is deterministic for a given model and
+start, so identical calls give identical results bit for bit.
 
 Every optimal result is re-verified against the original rows before it is
 returned; the solver's own bookkeeping is never trusted for feasibility.
@@ -25,14 +25,13 @@ import ctypes
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 import scipy
 from scipy.optimize._highspy import _core as highs_core
 
 RESIDUAL_TOL = 1e-6      # independent post-solve constraint check
-DEFAULT_NODE_LIMIT = 100_000
+NODE_LIMIT = 100_000     # branch-and-bound nodes; read at each solve
 # selects no engine: every model goes to HiGHS. The benchmark's trace still
 # labels real-time solves with at most this many binaries as `rt_bnb`.
 BNB_BINARY_LIMIT = 40
@@ -256,21 +255,15 @@ class MilpSolution:
 # standard form
 
 
-class _Csr(NamedTuple):
-    """A sparse matrix in CSR arrays: row `i` holds `data[indptr[i]:indptr[i + 1]]`
-    in the columns `indices[indptr[i]:indptr[i + 1]]`."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
 class _Standard:
     """The model as arrays: objective, bounds and one sparse row matrix in
     canonical CSR form (rows in order, each row's columns ascending,
-    repeated terms summed in the order they were added, zeros dropped). A
-    non-finite objective coefficient, row coefficient or right-hand side
-    raises SolverError naming the variable or the row."""
+    repeated terms summed in the order they were added, zeros dropped), with
+    each row's lower and upper bound. Row `i` holds
+    `data[indptr[i]:indptr[i + 1]]` in the columns
+    `indices[indptr[i]:indptr[i + 1]]`; HiGHS's `passModel` takes these
+    arrays row-wise. A non-finite objective coefficient, row coefficient or
+    right-hand side raises SolverError naming the variable or the row."""
 
     def __init__(self, model: LinearProgram):
         n = model.num_vars
@@ -282,12 +275,12 @@ class _Standard:
         self.binaries = np.flatnonzero(model.is_binary)
         self.c = model._objective_array()
         self.offset = model.objective_offset
-        row, col, data, self.rels, self.rhs = model._row_arrays()
+        row, col, data, rels, rhs = model._row_arrays()
 
         # indices held in 8 or 16 bits sort by radix, so on every dispatch
-        # model the sorts here and in `columns` are linear in the terms
-        self._index_type = np.min_scalar_type(max(n, m))
-        order = np.lexsort((col.astype(self._index_type), row.astype(self._index_type)))
+        # model the sort is linear in the terms
+        index_type = np.min_scalar_type(max(n, m))
+        order = np.lexsort((col.astype(index_type), row.astype(index_type)))
         row, col, data = row[order], col[order], data[order]
         new = np.ones(len(row), dtype=bool)
         new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
@@ -295,33 +288,24 @@ class _Standard:
             data = np.add.reduceat(data, np.flatnonzero(new))
             row, col = row[new], col[new]
         kept = data != 0
-        self._row, self._col = row[kept], col[kept]
-        indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self._row, minlength=m), out=indptr[1:])
-        self.rows = _Csr(data[kept], self._col.astype(np.int32), indptr)
+        self._row, col, self.data = row[kept], col[kept], data[kept]
+        self.indices = col.astype(np.int32)
+        self.indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self._row, minlength=m), out=self.indptr[1:])
+        self.row_lb = np.where(rels == LE, -np.inf, rhs)
+        self.row_ub = np.where(rels == GE, np.inf, rhs)
 
         bad = np.flatnonzero(~np.isfinite(self.c))
         if bad.size:
             raise SolverError(
                 f"variable {model.names[bad[0]]!r} has objective coefficient {self.c[bad[0]]}")
-        bad = np.flatnonzero(~np.isfinite(self.rows.data))
+        bad = np.flatnonzero(~np.isfinite(self.data))
         if bad.size:
-            raise SolverError(f"row {self._row[bad[0]]} has coefficient {self.rows.data[bad[0]]} "
-                              f"on variable {model.names[self._col[bad[0]]]!r}")
-        bad = np.flatnonzero(~np.isfinite(self.rhs))
+            raise SolverError(f"row {self._row[bad[0]]} has coefficient {self.data[bad[0]]} "
+                              f"on variable {model.names[col[bad[0]]]!r}")
+        bad = np.flatnonzero(~np.isfinite(rhs))
         if bad.size:
-            raise SolverError(f"row {bad[0]} has right-hand side {self.rhs[bad[0]]}")
-
-    def columns(self):
-        """The row matrix in the CSC arrays HiGHS's `passModel` takes, and
-        each row's lower and upper bound."""
-        order = np.argsort(self._col.astype(self._index_type), kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self._col, minlength=self.n), out=indptr[1:])
-        row_lb = np.where(self.rels == LE, -np.inf, self.rhs)
-        row_ub = np.where(self.rels == GE, np.inf, self.rhs)
-        return (indptr, self._row[order].astype(np.int32), self.rows.data[order],
-                row_lb, row_ub)
+            raise SolverError(f"row {bad[0]} has right-hand side {rhs[bad[0]]}")
 
     def verified(self, x: np.ndarray) -> np.ndarray:
         """`x`, after checking every bound and row, each row scaled by its
@@ -331,18 +315,13 @@ class _Standard:
                     float(np.max(x - self.ub, initial=0.0)))
         if self.m:
             scale = np.ones(self.m)
-            filled = np.diff(self.rows.indptr) > 0
+            filled = np.diff(self.indptr) > 0
             if filled.any():
                 scale[filled] = np.maximum(np.maximum.reduceat(
-                    np.abs(self.rows.data), self.rows.indptr[:-1][filled]), 1.0)
-            product = self.rows.data * x[self.rows.indices]
-            resid = (np.bincount(self._row, weights=product, minlength=self.m) - self.rhs) / scale
-            for sel, sign in ((self.rels == LE, 1.0), (self.rels == GE, -1.0)):
-                if sel.any():
-                    worst = max(worst, float(np.max(sign * resid[sel], initial=0.0)))
-            eq = self.rels == EQ
-            if eq.any():
-                worst = max(worst, float(np.max(np.abs(resid[eq]), initial=0.0)))
+                    np.abs(self.data), self.indptr[:-1][filled]), 1.0)
+            ax = np.bincount(self._row, weights=self.data * x[self.indices], minlength=self.m)
+            resid = np.maximum(self.row_lb - ax, ax - self.row_ub) / scale
+            worst = max(worst, float(np.max(resid, initial=0.0)))
         if worst > RESIDUAL_TOL:
             raise SolverError(f"HiGHS returned an infeasible point (residual {worst:.3e})")
         return x
@@ -386,14 +365,14 @@ def _quiet_run(highs) -> None:
         os.close(saved)
 
 
-def solve_milp(model: LinearProgram, *, node_limit: int = DEFAULT_NODE_LIMIT,
+def solve_milp(model: LinearProgram, *,
                start: dict[int, float] | None = None) -> MilpSolution:
     """Solve the MILP with HiGHS's branch-and-cut to a proven optimum.
 
     The relative gap is zero and the feasibility tolerances are 1e-9, two
     decades inside the residual check. An optimal point has its binaries
     rounded and its values clipped to their bounds, then every row is
-    checked again. A search that hits `node_limit` nodes reports
+    checked again. A search that hits NODE_LIMIT nodes reports
     ITERATION_LIMIT. `node_count` and `iterations` are HiGHS's branch-and-
     bound nodes and simplex iterations (0 nodes for an LP).
 
@@ -425,15 +404,14 @@ def solve_milp(model: LinearProgram, *, node_limit: int = DEFAULT_NODE_LIMIT,
     """
     std = _Standard(model)
     highs = highs_core._Highs()
-    for name, value in (*_OPTIONS.items(), ("mip_max_nodes", node_limit)):
+    for name, value in (*_OPTIONS.items(), ("mip_max_nodes", NODE_LIMIT)):
         if highs.setOptionValue(name, value) == highs_core.HighsStatus.kError:
             raise SolverError(f"HiGHS rejects option {name}={value!r}")
-    indptr, indices, data, row_lb, row_ub = std.columns()
     integrality = np.zeros(std.n, dtype=np.int32)
     integrality[std.binaries] = 1
-    if highs.passModel(std.n, std.m, len(data), int(highs_core.MatrixFormat.kColwise),
+    if highs.passModel(std.n, std.m, len(std.data), int(highs_core.MatrixFormat.kRowwise),
                        int(highs_core.ObjSense.kMinimize), 0.0, std.c, std.lb, std.ub,
-                       row_lb, row_ub, indptr, indices, data,
+                       std.row_lb, std.row_ub, std.indptr, std.indices, std.data,
                        integrality) == highs_core.HighsStatus.kError:
         raise SolverError("HiGHS rejects the model")
     if start and highs.setSolution(

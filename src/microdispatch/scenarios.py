@@ -16,7 +16,7 @@ from microdispatch.domain import HOURS_PER_DAY, DayProfile
 
 DAY_AHEAD_SCENARIOS = 3
 REAL_TIME_SCENARIOS = 5
-DEFAULT_KMEANS_ITERATIONS = 300
+KMEANS_ITERATIONS = 300    # Lloyd iterations at most; read at each call
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     return heads
 
 
-def kmeans(days, k: int, seed: int,
-           max_iterations: int = DEFAULT_KMEANS_ITERATIONS) -> np.ndarray:
+def kmeans(days, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm over daily 24-vectors, deterministic for a seed.
 
-    Returns the cluster heads, a read-only (k, 24) array. Empty clusters are
-    re-seeded to the point farthest from its head.
+    Returns the cluster heads, a read-only (k, 24) array, after at most
+    KMEANS_ITERATIONS iterations. Empty clusters are re-seeded to the point
+    farthest from its head.
     """
     points = np.asarray([np.asarray(d, dtype=float) for d in days])
     if points.ndim != 2 or points.shape[1] != HOURS_PER_DAY:
@@ -74,7 +74,7 @@ def kmeans(days, k: int, seed: int,
     rng = np.random.default_rng(seed)
     heads = _plus_plus_seeds(points, k, rng)
     assignments = np.full(points.shape[0], -1)
-    for _ in range(max_iterations):
+    for _ in range(KMEANS_ITERATIONS):
         d2 = ((points[:, None, :] - heads[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):

@@ -1,26 +1,31 @@
 """Independent brute-force oracles, random instance generators and the
-per-term reference builders for the solver and model tests, and the
-reference DQN training loop.
+per-term reference builders for the solver and model tests, the column-wise
+reference solve and the reference DQN training loop.
 
-Nothing here shares code with `milp.py` beyond the model container: LPs are
-checked by enumerating every basic point, MILPs by enumerating every binary
-assignment and solving the LP left by each with scipy's `linprog` on the
-dense rows. `reference_day_ahead` and `reference_realtime` write the
-dispatch models one variable and one row at a time through the container's
-scalar calls; `dispatch` writes them as arrays, and the tests require equal
-standard forms. `reference_shifted_start` builds a warm start by name, one
-variable at a time; `dispatch.shifted_start` builds it from index arrays,
-and the tests require equal dicts. `reference_train_agent` runs the target
-network over every sampled batch; `drl` keeps per-slot target values, and
-the tests require bit-identical weights and curves.
+The brute-force oracles share no code with `milp.py` beyond the model
+container: LPs are checked by enumerating every basic point, MILPs by
+enumerating every binary assignment and solving the LP left by each with
+scipy's `linprog` on the dense rows. `reference_day_ahead` and
+`reference_realtime` write the dispatch models one variable and one row at a
+time through the container's scalar calls; `dispatch` writes them as arrays,
+and the tests require equal standard forms. `reference_shifted_start` builds
+a warm start by name, one variable at a time; `dispatch.shifted_start`
+builds it from index arrays, and the tests require equal dicts.
+`reference_train_agent` runs the target network over every sampled batch;
+`drl` keeps per-slot target values, and the tests require bit-identical
+weights and curves. `reference_colwise_solve` hands HiGHS the standard form
+as CSC arrays; `solve_milp` passes the CSR arrays row-wise, and the tests
+require bit-identical solutions.
 """
 
 from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
 
 import microdispatch.drl as drl
+import microdispatch.milp as milp
 from microdispatch.dispatch import (
     ELASTIC_PENALTY_FACTOR,
     ELASTIC_SLACK_CAP,
@@ -30,7 +35,15 @@ from microdispatch.dispatch import (
     ModelBuildError,
 )
 from microdispatch.domain import HOURS_PER_DAY
-from microdispatch.milp import LinearProgram
+from microdispatch.milp import (
+    _OPTIONS,
+    _STATUS,
+    LinearProgram,
+    MilpSolution,
+    SolveStatus,
+    _Standard,
+    _quiet_run,
+)
 
 
 def dense_rows(model):
@@ -395,3 +408,42 @@ def reference_train_agent(environment, config):
                 target = network.copy()
         curve.append(episode_reward)
     return network, curve
+
+
+# ---------------------------------------------------------------------------
+# column-wise solve
+
+
+def reference_colwise_solve(model, start=None):
+    """`milp.solve_milp` as it ran before it passed the matrix row-wise: the
+    canonical CSR arrays re-sorted into CSC, passed with `kColwise`. The
+    module's NODE_LIMIT is read at call time."""
+    std = _Standard(model)
+    highs = highs_core._Highs()
+    for name, value in (*_OPTIONS.items(), ("mip_max_nodes", milp.NODE_LIMIT)):
+        assert highs.setOptionValue(name, value) != highs_core.HighsStatus.kError, name
+    order = np.argsort(std.indices, kind="stable")
+    indptr = np.zeros(std.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(std.indices, minlength=std.n), out=indptr[1:])
+    integrality = np.zeros(std.n, dtype=np.int32)
+    integrality[std.binaries] = 1
+    assert highs.passModel(std.n, std.m, len(std.data), int(highs_core.MatrixFormat.kColwise),
+                           int(highs_core.ObjSense.kMinimize), 0.0, std.c, std.lb, std.ub,
+                           std.row_lb, std.row_ub, indptr, std._row[order].astype(np.int32),
+                           std.data[order], integrality) != highs_core.HighsStatus.kError
+    if start:
+        assert highs.setSolution(len(start), np.array(list(start), dtype=np.int32),
+                                 np.array(list(start.values()))) != highs_core.HighsStatus.kError
+    _quiet_run(highs)
+    info = highs.getInfo()
+    status = _STATUS.get(highs.getModelStatus(), SolveStatus.ITERATION_LIMIT)
+    x = obj = None
+    if status is SolveStatus.OPTIMAL:
+        x = np.array(highs.getSolution().col_value, dtype=float)
+        x[std.binaries] = np.round(x[std.binaries])
+        np.clip(x, std.lb, std.ub, out=x)
+        x = std.verified(x)
+        obj = float(std.c @ x + std.offset)
+    return MilpSolution(status=status, objective=obj, values=x, columns=model._index,
+                        node_count=max(int(info.mip_node_count), 0),
+                        iterations=int(info.simplex_iteration_count))

@@ -11,6 +11,7 @@ from microdispatch import cli, controllers
 from microdispatch.cli import main
 from microdispatch.domain import DispatchSetpoint, TariffSchedule
 from microdispatch.drl import MlpNetwork
+from microdispatch.milp import SolverError
 
 
 def run(argv):
@@ -342,6 +343,20 @@ class TestSimulateCompareValidate:
         with pytest.raises(SystemExit) as exc_info:
             run(["validate", "--data", str(small_year), "--controllers", "rule-based"])
         assert exc_info.value.code == 1
+
+    def test_a_solver_error_is_a_failed_controller(self, small_year, tmp_path, capsys,
+                                                   monkeypatch):
+        def failing(*args, **kwargs):
+            raise SolverError("boom")
+
+        monkeypatch.setattr(controllers, "solve_milp", failing)
+        out = tmp_path / "cmp"
+        assert run(["compare", "--data", str(small_year), "--controllers",
+                    "mpc-perfect,rule-based", "--days", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "mpc-perfect: FAILED (mpc-perfect failed at day 0 hour 0: boom)\n"
+        with open(out / "summary.csv", newline="") as handle:
+            assert [row["controller"] for row in csv.DictReader(handle)] == ["rule-based"]
 
     @pytest.mark.parametrize("argv", [
         "simulate --data {data} --controller rule-based --days 1",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from test_dispatch import assert_same_standard_form
 
+import microdispatch.controllers as controllers
 from microdispatch.controllers import (
     ControllerError,
     MpcController,
@@ -30,7 +31,7 @@ from microdispatch.domain import (
     validate_trajectory,
 )
 from microdispatch.forecasting import LoadPvForecaster
-from microdispatch.milp import solve_milp
+from microdispatch.milp import SolverError, solve_milp
 from microdispatch.scenarios import (
     ScenarioSet,
     build_dayahead_scenarios,
@@ -351,6 +352,19 @@ class TestCompare:
             pipeline["test"][:1], TARIFF, CFG, pipeline["scen_d"])
         assert list(failures) == ["broken"]
         assert failures["broken"] == "broken failed at day 0 hour 0: boom"
+        assert list(reports) == ["rule-based"]
+        assert reports["rule-based"].hours == 24
+
+    def test_a_solver_error_names_the_controller_and_the_next_still_runs(self, pipeline,
+                                                                          monkeypatch):
+        def failing(*args, **kwargs):
+            raise SolverError("boom")
+
+        monkeypatch.setattr(controllers, "solve_milp", failing)
+        reports, failures = compare_controllers(
+            {"mpc-perfect": MpcController(PERFECT), "rule-based": RuleBasedController()},
+            pipeline["test"][:1], TARIFF, CFG, pipeline["scen_d"])
+        assert failures == {"mpc-perfect": "mpc-perfect failed at day 0 hour 0: boom"}
         assert list(reports) == ["rule-based"]
         assert reports["rule-based"].hours == 24
 

@@ -2,8 +2,14 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import reference_day_ahead, reference_realtime, reference_shifted_start
+from oracles import (
+    reference_colwise_solve,
+    reference_day_ahead,
+    reference_realtime,
+    reference_shifted_start,
+)
 
+import microdispatch.milp as milp
 from microdispatch.controllers import scenario_window
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
 from microdispatch.dispatch import (
@@ -75,12 +81,8 @@ def assert_same_standard_form(a, b):
     assert a.names == b.names
     sa, sb = _Standard(a), _Standard(b)
     assert sa.offset == sb.offset
-    for field in ("c", "lb", "ub", "binaries", "rels", "rhs"):
-        assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(sa.rows, field), getattr(sb.rows, field)), field
-    names = ("indptr", "indices", "data", "row_lb", "row_ub")
-    for field, x, y in zip(names, sa.columns(), sb.columns(), strict=True):
+    for field in ("c", "lb", "ub", "binaries", "data", "indices", "indptr", "row_lb", "row_ub"):
+        x, y = getattr(sa, field), getattr(sb, field)
         assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
@@ -157,10 +159,11 @@ class TestDayAheadBuilder:
         assert (commitment.reserve_down_kw <= CFG.ess_power_cap + 1e-9).all()
         assert (commitment.reserve_up_kw <= CFG.ess_power_cap + 1e-9).all()
 
-    def test_extract_requires_optimal(self):
+    def test_extract_requires_optimal(self, monkeypatch):
         scenarios = scenario_set([flat_day(0, 0)])
         model = build_day_ahead(scenarios, TARIFF, 2500.0, CFG)
-        bad = solve_milp(model, node_limit=0)
+        monkeypatch.setattr(milp, "NODE_LIMIT", 0)
+        bad = solve_milp(model)
         if bad.status is SolveStatus.OPTIMAL:
             pytest.skip("model solved at the root; cannot produce a non-optimal status")
         with pytest.raises(ExtractionError):
@@ -626,7 +629,7 @@ class TestArrayWriter:
             model = build_realtime(ctx, TARIFF, cfg, STOCHASTIC)
             assert_same_model(model, reference_realtime(ctx, TARIFF, cfg, STOCHASTIC))
             terms = sum(len(terms) for terms, _, _ in model.rows)
-            assert len(_Standard(model).rows.data) < terms
+            assert len(_Standard(model).data) < terms
         for soc in (2500.0, 20000.0):
             assert_same_model(build_day_ahead(fitted_inputs["day_ahead"], TARIFF, soc, cfg),
                               reference_day_ahead(fitted_inputs["day_ahead"], TARIFF, soc, cfg))
@@ -671,3 +674,39 @@ class TestShiftedStart:
         # forecast windows pair at shift 0 only: an unobserved forecaster
         # repeats its profile for the same hour
         assert paired == {PERFECT: 36, FORECAST: 16, STOCHASTIC: 36}[mode]
+
+
+def assert_same_solution(model, start=None):
+    """`solve_milp` returns the column-wise reference's solution bit for bit,
+    work counts included; returns it."""
+    solution = solve_milp(model, start=start)
+    reference = reference_colwise_solve(model, start)
+    assert solution.ok and reference.ok
+    assert solution.objective == reference.objective
+    assert np.array_equal(solution.values, reference.values)
+    assert (solution.node_count, solution.iterations) == (reference.node_count,
+                                                          reference.iterations)
+    return solution
+
+
+class TestRowwiseMatrix:
+    """`solve_milp` passes HiGHS the CSR arrays row-wise, the reference the
+    same matrix as CSC arrays column-wise; HiGHS must do the same work."""
+
+    @pytest.mark.parametrize("mode", (PERFECT, FORECAST, STOCHASTIC))
+    @pytest.mark.parametrize("hour", (0, 1, 12, 23))
+    def test_windows_solve_as_the_reference(self, fitted_inputs, mode, hour):
+        plan_context = realtime_context(fitted_inputs, mode, hour)
+        plan = assert_same_solution(build_realtime(plan_context, TARIFF, CFG, mode))
+        context = realtime_context(fitted_inputs, mode, hour, 9000.0, 6000.0)
+        for elastic in (False, True):
+            model = build_realtime(context, TARIFF, CFG, mode, elastic=elastic)
+            # the same hour's plan pairs every row; a one-hour window takes no start
+            start = shifted_start(model, context, plan, plan_context)
+            assert bool(start) == (hour < 23)
+            for warm in (None, start):
+                assert_same_solution(model, warm)
+
+    @pytest.mark.parametrize("soc", (2500.0, 12500.0, 20000.0))
+    def test_day_aheads_solve_as_the_reference(self, fitted_inputs, soc):
+        assert_same_solution(build_day_ahead(fitted_inputs["day_ahead"], TARIFF, soc, CFG))

@@ -16,6 +16,7 @@ from oracles import (
 )
 from scipy.optimize._highspy import _core as highs_core
 
+import microdispatch.milp as milp
 from microdispatch.dataio import SyntheticParams, generate_dataset, split_train_test
 from microdispatch.dispatch import (
     PERFECT,
@@ -27,6 +28,7 @@ from microdispatch.dispatch import (
 from microdispatch.domain import Commitment, MicrogridConfig, MicrogridState, TariffSchedule
 from microdispatch.milp import (
     REQUIRED_HIGHS_METHODS,
+    RESIDUAL_TOL,
     _OPTIONS,
     LinearProgram,
     SolverError,
@@ -172,8 +174,8 @@ class TestSolveMilp:
         repeated = model([([(0, 1.0), (0, 1.0)], 3.0), ([(0, 1.0), (0, -1.0), (1, 1.0)], 1.0)])
         merged = model([([(0, 2.0)], 3.0), ([(1, 1.0)], 1.0)])
         a, b = _Standard(repeated), _Standard(merged)
-        for field in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a.rows, field), getattr(b.rows, field)), field
+        for field in ("data", "indices", "indptr", "row_lb", "row_ub"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
         sol_a, sol_b = solve_milp(repeated), solve_milp(merged)
         assert sol_a.ok and sol_b.ok
         assert sol_a.objective == sol_b.objective == -2.5
@@ -218,7 +220,7 @@ class TestSolveMilp:
         with pytest.raises(SolverError, match=message):
             solve_milp(model)
 
-    def test_node_limit_reports_iteration_limit(self):
+    def test_node_limit_reports_iteration_limit(self, monkeypatch):
         rng = np.random.default_rng(3)
         # a model that genuinely needs branching
         model = LinearProgram()
@@ -226,7 +228,9 @@ class TestSolveMilp:
         for j, u in enumerate(us):
             model.set_objective(u, -(1.0 + 0.1 * j))
         model.add_row([(u, 1.0) for u in us], "<=", 2.5)
-        sol = solve_milp(model, node_limit=2)
+        with monkeypatch.context() as patched:
+            patched.setattr(milp, "NODE_LIMIT", 2)
+            sol = solve_milp(model)
         assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.OPTIMAL)
         full = solve_milp(model)
         assert full.status is SolveStatus.OPTIMAL
@@ -283,6 +287,30 @@ class TestSolveMilp:
             assert a.objective == b.objective
             assert np.array_equal(a.values, b.values)
             assert a.node_count == b.node_count
+
+
+class TestVerified:
+    """`verified` scales each row by its largest coefficient magnitude, 4
+    here, and refuses a point whose worst scaled violation passes
+    RESIDUAL_TOL, on whichever side the row's relation forbids."""
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    @pytest.mark.parametrize("rel", ["<=", ">=", "="])
+    def test_row_violations(self, rel, side, factor):
+        model = LinearProgram()
+        x = model.add_var("x", -10, 10)
+        y = model.add_var("y", -10, 10)
+        model.add_row([(x, 1.0), (y, -4.0)], rel, -4.0)
+        # x - 4y = -4 + side * factor * 4 * RESIDUAL_TOL: unscaled, even
+        # factor 0.9 would pass the tolerance
+        point = np.array([0.0, 1.0 - side * factor * RESIDUAL_TOL])
+        forbidden = {"<=": side > 0, ">=": side < 0, "=": True}[rel]
+        if forbidden and factor > 1:
+            with pytest.raises(SolverError, match=r"residual 1\.100e-06"):
+                _Standard(model).verified(point)
+        else:
+            assert _Standard(model).verified(point) is point
 
 
 class TestModelChecks:

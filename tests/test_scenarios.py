@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import microdispatch.scenarios as scenarios
 from microdispatch.domain import DayProfile
 from microdispatch.scenarios import (
     ScenarioSet,
@@ -77,12 +78,13 @@ class TestKmeans:
         for c in range(k):
             assert np.array_equal(heads[c], days[assignments == c].mean(axis=0)), c
 
-    def test_inertia_nonincreasing_across_iterations(self):
+    def test_inertia_nonincreasing_across_iterations(self, monkeypatch):
         rng = np.random.default_rng(5)
         days = rng.uniform(0, 50, size=(40, 24))
         previous = np.inf
         for iterations in range(1, 8):
-            heads = kmeans(days, k=4, seed=13, max_iterations=iterations)
+            monkeypatch.setattr(scenarios, "KMEANS_ITERATIONS", iterations)
+            heads = kmeans(days, k=4, seed=13)
             inertia = inertia_of(heads, days)
             assert inertia <= previous + 1e-9
             previous = inertia
